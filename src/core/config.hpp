@@ -82,6 +82,7 @@ struct EngineStats {
     q.sets_built = sets_built;
     q.faults_injected = faults_injected;
     q.units_recovered = units_recovered;
+    q.steals = local_steals + global_steals;
     return q;
   }
 };

@@ -1,5 +1,9 @@
 // Host-parallel execution path: real std::thread workers with dynamic
-// chunk distribution over the outermost loop.
+// chunk distribution over the outermost loop, plus STMatch-style work
+// stealing (paper §V) so one heavy chunk no longer runs serially: once the
+// chunks are gone, an idle worker asks for work, and the busiest worker
+// donates the upper half of its remaining range at its shallowest
+// splittable level (see RecursivePiece / WorkDonor in recursive.hpp).
 //
 // This is the execution mode a CPU-only downstream user runs in production;
 // the SIMT engine (engine.hpp) is the paper-faithful simulated-GPU path.
@@ -27,9 +31,10 @@ struct HostEngineConfig {
   /// prefix already delivered to the client.
   VertexId v_begin = 0;
   /// Deterministic fault-injection schedule (off by default). Sites
-  /// interpreted here: kHostTask (a chunk's partial work is discarded and
-  /// the chunk re-enqueued, bounded by max_unit_attempts) and kEngineThrow
-  /// (the host_match call itself throws FaultInjectedError).
+  /// interpreted here: kHostTask (a chunk's partial work — every stolen
+  /// piece of it included — is discarded and the chunk re-enqueued, bounded
+  /// by max_unit_attempts; decided once all its pieces settled) and
+  /// kEngineThrow (the host_match call itself throws FaultInjectedError).
   FaultConfig fault;
 };
 
@@ -49,12 +54,17 @@ struct HostMatchResult {
 /// With a non-null `sink` the engine also emits every matched embedding:
 /// bucket id = chunk ordinal ((chunk.begin - v_begin) / chunk_size), dense
 /// and ascending in outer-loop vertex, so the sequenced stream is the plan's
-/// DFS order. A chunk's bucket is posted only after the chunk completed
-/// exactly (interrupted or kHostTask-failed chunks are never posted, keeping
-/// the stream exact; a retried chunk posts on its successful attempt).
-/// Workers never block on backpressure while claimable work (including retry
-/// chunks) exists — completed buckets park in a per-worker pending list and
-/// are flushed opportunistically, with a final blocking flush at exit.
+/// DFS order. Pieces stolen from a chunk stage into the chunk's bucket,
+/// which is sorted back into DFS order when its last piece settles. A
+/// chunk's bucket is posted only after the chunk completed exactly
+/// (interrupted or kHostTask-failed chunks are never posted, keeping the
+/// stream exact; a retried chunk posts on its successful attempt).
+/// stats.steals counts the pieces donated between workers. With
+/// num_threads == 1 the caller's thread does all the work.
+/// Workers never block on backpressure while claimable work (including
+/// stolen pieces and retry chunks) exists — completed buckets park in a
+/// per-worker pending list and are flushed opportunistically, with a final
+/// blocking flush at exit.
 HostMatchResult host_match(GraphView g, const MatchingPlan& plan,
                            const HostEngineConfig& cfg = {},
                            const CancelToken* cancel = nullptr,

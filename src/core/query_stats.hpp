@@ -60,6 +60,9 @@ struct QueryStats {
   /// Recovery units (failed chunks / captured warp frames / device slices)
   /// re-enqueued and brought to completion without losing their work.
   std::uint64_t units_recovered = 0;
+  /// Work pieces that moved between workers: host-engine donations, or the
+  /// SIMT engine's local plus global steals.
+  std::uint64_t steals = 0;
 
   QueryStats& operator+=(const QueryStats& o) {
     if (o.status != QueryStatus::kOk && status == QueryStatus::kOk)
@@ -69,6 +72,7 @@ struct QueryStats {
     sets_built += o.sets_built;
     faults_injected += o.faults_injected;
     units_recovered += o.units_recovered;
+    steals += o.steals;
     return *this;
   }
 };

@@ -28,14 +28,25 @@ class RecExec {
                           const EmbeddingVisitor* visit = nullptr) {
     visit_ = visit;
     stopped_ = false;
-    std::uint64_t total = 0;
-    const auto mask = plan_.exact_mask(0);
-    for (VertexId v = v_begin; v < std::min(v_end, g_.num_vertices()); ++v) {
-      if (stopped_) break;
-      if (!label_ok(mask, v)) continue;
-      total += run_from_v0(v);
-    }
-    return total;
+    return loop_outer(v_begin, std::min(v_end, g_.num_vertices()));
+  }
+
+  std::uint64_t run_piece(RecursivePiece piece, const EmbeddingVisitor* visit,
+                          WorkDonor* donor) {
+    STM_CHECK(piece.level == 0 || piece.level + 1 < k_);
+    visit_ = visit;
+    stopped_ = false;
+    top_ = piece.level;
+    if (k_ >= 2) donor_ = donor;  // level k-1 is never split
+    if (piece.level == 0)
+      return loop_outer(
+          static_cast<VertexId>(piece.begin),
+          static_cast<VertexId>(
+              std::min<std::size_t>(piece.end, g_.num_vertices())));
+    std::copy_n(piece.prefix.begin(), piece.level, matched_.begin());
+    for (auto& [id, value] : piece.sets)
+      values_[static_cast<std::size_t>(id)] = std::move(value);
+    return recurse(piece.level, piece.begin, piece.end);
   }
 
   std::uint64_t run_seed(VertexId v0, VertexId v1,
@@ -171,7 +182,32 @@ class RecExec {
     return recurse(1);
   }
 
-  std::uint64_t recurse(std::size_t l) {
+  // Level 0 over outer vertices [begin, end).
+  std::uint64_t loop_outer(VertexId begin, VertexId end) {
+    std::uint64_t total = 0;
+    const auto mask = plan_.exact_mask(0);
+    WorkDonor* const donor = donor_;
+    end_[0] = end;
+    for (VertexId v = begin; v < end && !stopped_; ++v) {
+      if (donor != nullptr && donor->wanted()) {
+        idx_[0] = v;
+        donate(0);
+        end = static_cast<VertexId>(end_[0]);
+      }
+      if (!label_ok(mask, v)) continue;
+      idx_[0] = v;
+      total += run_from_v0(v);
+      end = static_cast<VertexId>(end_[0]);
+    }
+    return total;
+  }
+
+  // Level l over candidate indices [begin, end) (the whole set by default).
+  // The index stays local: idx_/end_ publish it (and take back a truncated
+  // end) only around a donation and a descent, which is all a donation at
+  // this or a deeper level reads, so filtered-out iterations store nothing.
+  std::uint64_t recurse(std::size_t l, std::size_t begin = 0,
+                        std::size_t end = SIZE_MAX) {
     const auto& c = cand(l);
     if (l == k_ - 1) {
       std::uint64_t found = 0;
@@ -194,22 +230,79 @@ class RecExec {
       return found;
     }
     std::uint64_t total = 0;
+    WorkDonor* const donor = donor_;
+    end = std::min(end, c.size());
+    end_[l] = end;
     // Index-based iteration: deeper recursion only materializes nodes with
     // mat_level > l, so this level's candidate vector is never reallocated
     // underneath us.
-    for (std::size_t idx = 0; idx < c.size() && !stopped_; ++idx) {
+    for (std::size_t idx = begin; idx < end && !stopped_; ++idx) {
       if (poller_.fired()) {
         stopped_ = true;
         break;
+      }
+      if (donor != nullptr && donor->wanted()) {
+        idx_[l] = idx;
+        donate(l);
+        end = end_[l];
       }
       const VertexId v = c[idx];
       if (!choice_ok(l, v)) continue;
       matched_[l] = v;
       bump_partials(l);
       materialize_entry(l + 1);
+      idx_[l] = idx;
       total += recurse(l + 1);
+      end = end_[l];
     }
     return total;
+  }
+
+  // Slow path of the donation poll, run at level l: publish this
+  // executor's remaining-work key and, if the donor picks us, give away the
+  // upper half of what is left after the current iteration at the
+  // shallowest level of this piece that has anything left.
+  void donate(std::size_t l) {
+    std::size_t s = top_;
+    while (s <= l && end_[s] - idx_[s] <= 1) ++s;
+    if (s > l) {
+      donor_->offer(0);
+      return;
+    }
+    const std::size_t left = end_[s] - idx_[s] - 1;
+    constexpr std::uint64_t kLeftBits = 48;
+    const std::uint64_t key =
+        (std::uint64_t{kMaxPatternSize - s} << kLeftBits) |
+        std::min<std::uint64_t>(left, (std::uint64_t{1} << kLeftBits) - 1);
+    if (!donor_->offer(key)) return;
+    RecursivePiece piece;
+    piece.level = s;
+    piece.end = end_[s];
+    piece.begin = end_[s] = end_[s] - (left + 1) / 2;
+    std::copy_n(matched_.begin(), s, piece.prefix.begin());
+    if (s > 0) {
+      for (const std::int16_t id : carried(s))
+        piece.sets.emplace_back(id, values_[static_cast<std::size_t>(id)]);
+    }
+    donor_->give(std::move(piece));
+  }
+
+  // Nodes a piece at level s must carry: materialized at or before s and
+  // still read at or after it, as a candidate set of a level >= s or as the
+  // dep of a node materialized after s.
+  std::vector<std::int16_t> carried(std::size_t s) const {
+    const auto& nodes = plan_.nodes();
+    std::vector<bool> needed(nodes.size(), false);
+    for (const SetNode& node : nodes)
+      if (node.dep >= 0 && node.mat_level > s)
+        needed[static_cast<std::size_t>(node.dep)] = true;
+    for (std::size_t l = s; l < k_; ++l)
+      needed[static_cast<std::size_t>(plan_.candidate_node(l))] = true;
+    std::vector<std::int16_t> out;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      if (needed[i] && nodes[i].mat_level <= s)
+        out.push_back(static_cast<std::int16_t>(i));
+    return out;
   }
 
   const GraphView g_;
@@ -221,6 +314,13 @@ class RecExec {
   std::vector<std::vector<VertexId>> values_;
   std::vector<VertexId> scratch_;
   std::array<VertexId, kMaxPatternSize> matched_{};
+  // Current index and (donation-truncatable) end of every active loop, as
+  // published by loop_outer/recurse; level 0 counts outer vertices, deeper
+  // levels candidate indices.
+  std::array<std::size_t, kMaxPatternSize> idx_{};
+  std::array<std::size_t, kMaxPatternSize> end_{};
+  std::size_t top_ = 0;  // level of the running piece; shallower is prefix
+  WorkDonor* donor_ = nullptr;
   const EmbeddingVisitor* visit_ = nullptr;
   bool stopped_ = false;
 };
@@ -242,6 +342,15 @@ std::uint64_t recursive_enumerate_range(GraphView g, const MatchingPlan& plan,
                                         const CancelToken* cancel) {
   RecExec exec(g, plan, counters, cancel);
   return exec.run_range(v_begin, v_end, &visit);
+}
+
+std::uint64_t recursive_run_piece(GraphView g, const MatchingPlan& plan,
+                                  RecursivePiece piece,
+                                  const EmbeddingVisitor* visit,
+                                  RecursiveCounters* counters,
+                                  const CancelToken* cancel, WorkDonor* donor) {
+  RecExec exec(g, plan, counters, cancel);
+  return exec.run_piece(std::move(piece), visit, donor);
 }
 
 std::uint64_t recursive_count_seed(GraphView g, const MatchingPlan& plan,

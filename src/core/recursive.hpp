@@ -3,14 +3,18 @@
 // A direct recursive rendering of Algorithm 1 driven by the same
 // MatchingPlan as the stack engine (candidate chains, code motion, label
 // masks, symmetry constraints). It backs three consumers:
-//   * the host-parallel engine (real std::thread execution),
+//   * the host-parallel engine (real std::thread execution, with work
+//     donation between threads via run pieces),
 //   * the Dryadic-style CPU baseline (scalar cost accounting),
 //   * the per-level workload profile behind the cuTS/GSI models.
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -67,6 +71,57 @@ std::uint64_t recursive_enumerate_range(GraphView g, const MatchingPlan& plan,
                                         const EmbeddingVisitor& visit,
                                         RecursiveCounters* counters = nullptr,
                                         const CancelToken* cancel = nullptr);
+
+/// One unit of enumeration work: the plan's loop nest restricted to the
+/// iteration range [begin, end) at `level`, under the matched prefix
+/// 0..level-1. A host chunk is a level-0 piece over outer vertices
+/// [begin, end). A stolen piece carries the victim's prefix, the upper half
+/// of its remaining range at `level` (indices into that level's candidate
+/// set) and copies of the code-motion sets that levels >= `level` read, so
+/// the thief resumes without redoing any set operation.
+struct RecursivePiece {
+  std::size_t level = 0;
+  std::array<VertexId, kMaxPatternSize> prefix{};
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// (plan node id, value) of every set materialized at or before `level`
+  /// and read at or after it. Empty for level 0.
+  std::vector<std::pair<std::int16_t, std::vector<VertexId>>> sets;
+};
+
+/// Victim side of STMatch's steal-half protocol, run by donation: an idle
+/// worker raises `requests`, and a running executor polls it (one relaxed
+/// load) once per iteration at every splittable level, 0..k-2. When it is
+/// positive the executor calls offer() with its remaining-work key: the
+/// shallowest level with an iteration left after the current one ranks
+/// first, then the number of such iterations; 0 means nothing to split. If
+/// offer() returns true, the executor hands the upper half of that range to
+/// give() and keeps the lower half. offer() never returns true for key 0.
+class WorkDonor {
+ public:
+  explicit WorkDonor(const std::atomic<int>& requests) : requests_(requests) {}
+  WorkDonor(const WorkDonor&) = delete;
+  WorkDonor& operator=(const WorkDonor&) = delete;
+  virtual ~WorkDonor() = default;
+
+  bool wanted() const { return requests_.load(std::memory_order_relaxed) > 0; }
+  virtual bool offer(std::uint64_t key) = 0;
+  virtual void give(RecursivePiece piece) = 0;
+
+ private:
+  const std::atomic<int>& requests_;
+};
+
+/// Executes one piece (see RecursivePiece) and returns its match count.
+/// `visit` (may be null) receives every embedding in DFS order within the
+/// piece; counters and cancel behave as in recursive_count_range. A non-null
+/// `donor` lets idle workers split this piece while it runs; the counters of
+/// all the pieces of a range then sum to those of one uninterrupted run.
+std::uint64_t recursive_run_piece(GraphView g, const MatchingPlan& plan,
+                                  RecursivePiece piece,
+                                  const EmbeddingVisitor* visit,
+                                  RecursiveCounters* counters,
+                                  const CancelToken* cancel, WorkDonor* donor);
 
 /// Executes the plan with levels 0 and 1 pre-matched to (v0, v1): the
 /// edge-based work decomposition used by Dryadic-style CPU systems.

@@ -135,6 +135,9 @@ GraphSession::GraphSession(Boot boot)
           metrics_.counter("matches_total", "Embeddings counted across queries")),
       engine_scalar_ops_(metrics_.counter(
           "engine_scalar_ops", "Scalar set-operation work across queries")),
+      engine_steals_total_(metrics_.counter(
+          "engine_steals_total",
+          "Work pieces moved between engine workers across queries")),
       updates_applied_(metrics_.counter(
           "updates_applied", "Update batches applied (epoch bumps)")),
       updates_failed_(metrics_.counter(
@@ -838,6 +841,7 @@ void GraphSession::execute(QueryJob& job) {
   if (result.degraded && result.ok()) queries_degraded_.inc();
   matches_total_.inc(result.count);
   engine_scalar_ops_.inc(result.stats.scalar_ops);
+  engine_steals_total_.inc(result.stats.steals);
   faults_injected_total_.inc(result.stats.faults_injected);
   recovery_units_total_.inc(result.stats.units_recovered);
   refresh_storage_metrics();  // the query's lease is released by now

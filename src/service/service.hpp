@@ -586,6 +586,7 @@ class GraphSession {
   Counter& recovery_units_total_;
   Counter& matches_total_;
   Counter& engine_scalar_ops_;
+  Counter& engine_steals_total_;
   Counter& updates_applied_;
   Counter& updates_failed_;
   Counter& edges_inserted_;
