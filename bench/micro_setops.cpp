@@ -5,6 +5,8 @@
 // galloping, fused multi-set ops).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
 #include "setops/multi_set_op.hpp"
 #include "setops/set_ops.hpp"
@@ -31,10 +33,13 @@ void BM_IntersectMerge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto a = sorted_set(rng, n, static_cast<VertexId>(n * 8));
   auto b = sorted_set(rng, n, static_cast<VertexId>(n * 8));
-  std::vector<VertexId> out;
+  const simd::Kernels& k = simd::kernels();
+  std::vector<VertexId> out(std::min(a.size(), b.size()) + simd::kSimdOutSlack);
   for (auto _ : state) {
-    set_intersect_into(a, b, out, IntersectAlgo::kMerge);
+    benchmark::DoNotOptimize(
+        k.intersect(a.data(), a.size(), b.data(), b.size(), out.data()));
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(a.size() + b.size()));
@@ -47,7 +52,11 @@ void BM_IntersectBinary(benchmark::State& state) {
   auto b = sorted_set(rng, static_cast<std::size_t>(state.range(0)), 100000);
   std::vector<VertexId> out;
   for (auto _ : state) {
-    set_intersect_into(a, b, out, IntersectAlgo::kBinary);
+    // Per-element binary-search probe: the lane strategy whose step count
+    // bsearch_steps() charges in the SIMT cost model.
+    out.clear();
+    for (const VertexId v : a)
+      if (std::binary_search(b.begin(), b.end(), v)) out.push_back(v);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -57,10 +66,13 @@ void BM_IntersectGalloping(benchmark::State& state) {
   Rng rng(3);
   auto a = sorted_set(rng, 32, 10000);
   auto b = sorted_set(rng, static_cast<std::size_t>(state.range(0)), 100000);
-  std::vector<VertexId> out;
+  const simd::Kernels& k = simd::kernels();
+  std::vector<VertexId> out(a.size() + simd::kSimdOutSlack);
   for (auto _ : state) {
-    set_intersect_into(a, b, out, IntersectAlgo::kGalloping);
+    benchmark::DoNotOptimize(k.gallop_intersect(a.data(), a.size(), b.data(),
+                                                b.size(), out.data()));
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_IntersectGalloping)->Range(64, 16384);

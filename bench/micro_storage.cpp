@@ -95,7 +95,7 @@ BENCHMARK_CAPTURE(BM_DecodeScan, spill, storage::Backend::kSpill)
     ->Unit(benchmark::kMillisecond);
 
 // Host-engine triangle count through the store's view: what a query pays
-// for decode-on-intersect once the per-run cache warms up (the cache
+// for decoding through the view once the per-run cache warms up (the cache
 // persists across iterations here, as it does across one engine run).
 void BM_TriangleHost(benchmark::State& state, storage::Backend backend) {
   const Graph& g = proxy_graph(1.0);

@@ -18,7 +18,7 @@ class RecExec {
         counters_(c),
         poller_(cancel),
         k_(plan.size()),
-        simd_(simd::kernels_for_choice(plan.options().forced_isa)) {
+        simd_(simd::kernels()) {
     STM_CHECK_MSG(!plan_.pattern().is_labeled() || g_.is_labeled(),
                   "labeled pattern requires a labeled data graph");
     values_.resize(plan_.num_nodes());
@@ -127,40 +127,14 @@ class RecExec {
         add_ops(entry, nbrs.size());
       } else {
         const auto& src = values_[static_cast<std::size_t>(node.dep)];
-        // Dispatched (SIMD) set operation into a scratch buffer; src != out
-        // by plan construction since dep != id. The label filter only
-        // inspects surviving elements, so filtering after the set op is
-        // bit-identical to the old fused merge loop.
-        const bool intersect = (node.op.kind == SetOpKind::kIntersect);
-        const std::size_t bound =
-            intersect ? std::min(src.size(), nbrs.size()) : src.size();
-        scratch_.resize(bound + simd::kSimdOutSlack);
-        std::size_t n;
-        if (intersect) {
-          // Neighbor lists can dwarf a narrowed candidate set; gallop on
-          // heavy skew, block-merge otherwise (simd::kGallopSkewRatio).
-          const bool src_small = src.size() <= nbrs.size();
-          const std::size_t small = src_small ? src.size() : nbrs.size();
-          const std::size_t large = src_small ? nbrs.size() : src.size();
-          if (small * simd::kGallopSkewRatio <= large)
-            n = src_small
-                    ? simd_.gallop_intersect(src.data(), src.size(),
-                                             nbrs.data(), nbrs.size(),
-                                             scratch_.data())
-                    : simd_.gallop_intersect(nbrs.data(), nbrs.size(),
-                                             src.data(), src.size(),
-                                             scratch_.data());
-          else
-            n = simd_.intersect(src.data(), src.size(), nbrs.data(),
-                                nbrs.size(), scratch_.data());
-        } else if (src.size() * simd::kGallopSkewRatio <= nbrs.size()) {
-          n = simd_.gallop_difference(src.data(), src.size(), nbrs.data(),
-                                      nbrs.size(), scratch_.data());
-        } else {
-          n = simd_.difference(src.data(), src.size(), nbrs.data(),
-                               nbrs.size(), scratch_.data());
-        }
-        scratch_.resize(n);
+        // Set operation into a scratch buffer; src != out by plan
+        // construction since dep != id. The label filter only inspects
+        // surviving elements, so filtering after the set op is bit-identical
+        // to a fused merge loop.
+        if (node.op.kind == SetOpKind::kIntersect)
+          set_intersect_into(src, nbrs, scratch_, &simd_);
+        else
+          set_difference_into(src, nbrs, scratch_, &simd_);
         if (filter.labels != nullptr)
           scratch_.erase(std::remove_if(scratch_.begin(), scratch_.end(),
                                         [&](VertexId v) {
@@ -310,7 +284,7 @@ class RecExec {
   RecursiveCounters* counters_;
   CancelPoller poller_;
   std::size_t k_;
-  const simd::Kernels& simd_;  // bound once per exec from the plan's choice
+  const simd::Kernels& simd_;  // bound once per exec
   std::vector<std::vector<VertexId>> values_;
   std::vector<VertexId> scratch_;
   std::array<VertexId, kMaxPatternSize> matched_{};

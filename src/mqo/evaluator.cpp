@@ -5,6 +5,7 @@
 #include <bit>
 #include <span>
 
+#include "setops/set_ops.hpp"
 #include "util/check.hpp"
 
 namespace stm::mqo {
@@ -91,25 +92,12 @@ class Walker {
       out.assign(lists[0].begin(), lists[0].end());
       return out;
     }
-    intersect_into(lists[0], lists[1], &out);
+    set_intersect_into(lists[0], lists[1], out, &simd_);
     for (std::size_t i = 2; i < count; ++i) {
-      intersect_into({out.data(), out.size()}, lists[i], &scratch_);
+      set_intersect_into(out, lists[i], scratch_, &simd_);
       out.swap(scratch_);
     }
     return out;
-  }
-
-  void intersect_into(std::span<const VertexId> a, std::span<const VertexId> b,
-                      std::vector<VertexId>* out) {
-    if (a.size() > b.size()) std::swap(a, b);
-    out->resize(std::min(a.size(), b.size()) + simd::kSimdOutSlack);
-    const std::size_t n =
-        (a.size() * simd::kGallopSkewRatio <= b.size())
-            ? simd_.gallop_intersect(a.data(), a.size(), b.data(), b.size(),
-                                     out->data())
-            : simd_.intersect(a.data(), a.size(), b.data(), b.size(),
-                              out->data());
-    out->resize(n);
   }
 
   void descend(const TrieNode& node, std::size_t depth) {
@@ -167,8 +155,7 @@ class Walker {
 }  // namespace
 
 MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
-    : index_(index),
-      simd_(simd::kernels_for_choice(simd::IsaChoice::kAuto)) {}
+    : index_(index), simd_(simd::kernels()) {}
 
 void MultiQueryEvaluator::accumulate(GraphView g, VertexId u, VertexId v,
                                      int sign, EvalResult* out) const {

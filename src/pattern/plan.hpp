@@ -42,10 +42,6 @@ struct PlanOptions {
   Induced induced = Induced::kEdge;
   bool code_motion = true;
   CountMode count_mode = CountMode::kEmbeddings;
-  /// Pins the SIMD kernel table the host engines use for this plan's set
-  /// operations (kAuto = follow the process-wide dispatch). Bit-exact by
-  /// contract (setops/simd.hpp) — a testing knob, not a semantics switch.
-  simd::IsaChoice forced_isa = simd::IsaChoice::kAuto;
 };
 
 /// One operand of a candidate chain: N(v_vertex) combined with `kind`.

@@ -14,13 +14,6 @@ std::string options_suffix(const PlanOptions& opts) {
   s += (opts.induced == Induced::kVertex) ? 'v' : 'e';
   s += opts.code_motion ? '1' : '0';
   s += (opts.count_mode == CountMode::kUniqueSubgraphs) ? 'u' : 'm';
-  // The ISA pin rides on the plan, so two plans differing only in it must
-  // not share a cache entry. Appended only when non-default so every key
-  // minted before the knob existed is unchanged.
-  if (opts.forced_isa != simd::IsaChoice::kAuto) {
-    s += "|i";
-    s += to_string(opts.forced_isa);
-  }
   return s;
 }
 

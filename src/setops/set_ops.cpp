@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace stm {
 
 bool set_contains(SetView s, VertexId v) {
@@ -12,55 +10,50 @@ bool set_contains(SetView s, VertexId v) {
 
 namespace {
 
-void intersect_binary(SetView a, SetView b, std::vector<VertexId>& out) {
-  for (VertexId v : a)
-    if (set_contains(b, v)) out.push_back(v);
-}
-
 inline const simd::Kernels& table_or_active(const simd::Kernels* kernels) {
   return kernels != nullptr ? *kernels : simd::kernels();
+}
+
+/// The skew rule of set_ops.hpp: probing each element of the smaller
+/// operand into the larger beats a block merge once the larger one is
+/// kGallopSkewRatio times bigger.
+inline bool gallop_pays(std::size_t smaller, std::size_t larger) {
+  return smaller * simd::kGallopSkewRatio <= larger;
 }
 
 }  // namespace
 
 void set_intersect_into(SetView a, SetView b, std::vector<VertexId>& out,
-                        IntersectAlgo algo, const simd::Kernels* kernels) {
-  if (algo == IntersectAlgo::kBinary) {
-    out.clear();
-    intersect_binary(a, b, out);
-    return;
-  }
+                        const simd::Kernels* kernels) {
   const simd::Kernels& k = table_or_active(kernels);
   // Galloping probes the larger set with elements of the smaller one; the
   // intersection is symmetric so sorted output is preserved either way.
   SetView small = a, large = b;
-  if (algo == IntersectAlgo::kGalloping && small.size() > large.size())
-    std::swap(small, large);
-  out.resize(std::min(a.size(), b.size()) + simd::kSimdOutSlack);
+  if (small.size() > large.size()) std::swap(small, large);
+  out.resize(small.size() + simd::kSimdOutSlack);
   const std::size_t n =
-      algo == IntersectAlgo::kGalloping
+      gallop_pays(small.size(), large.size())
           ? k.gallop_intersect(small.data(), small.size(), large.data(),
                                large.size(), out.data())
           : k.intersect(a.data(), a.size(), b.data(), b.size(), out.data());
   out.resize(n);
 }
 
-std::vector<VertexId> set_intersect(SetView a, SetView b, IntersectAlgo algo) {
+std::vector<VertexId> set_intersect(SetView a, SetView b) {
   std::vector<VertexId> out;
-  out.reserve(std::min(a.size(), b.size()));
-  set_intersect_into(a, b, out, algo);
+  set_intersect_into(a, b, out);
   return out;
 }
 
 void set_difference_into(SetView a, SetView b, std::vector<VertexId>& out,
                          const simd::Kernels* kernels) {
   const simd::Kernels& k = table_or_active(kernels);
+  // a \ b never shrinks below probing each element of a, so the only skew
+  // worth galloping on is |b| >> |a| (a small candidate set minus a huge
+  // neighbor list).
   out.resize(a.size() + simd::kSimdOutSlack);
-  // The skewed case worth special-casing is |b| >> |a| (subtracting a huge
-  // neighbor list from a small candidate set); a \ b never shrinks below
-  // probing each element of a, so gallop on that shape.
   const std::size_t n =
-      b.size() / simd::kGallopSkewRatio >= std::max<std::size_t>(a.size(), 1)
+      gallop_pays(a.size(), b.size())
           ? k.gallop_difference(a.data(), a.size(), b.data(), b.size(),
                                 out.data())
           : k.difference(a.data(), a.size(), b.data(), b.size(), out.data());
@@ -69,7 +62,6 @@ void set_difference_into(SetView a, SetView b, std::vector<VertexId>& out,
 
 std::vector<VertexId> set_difference(SetView a, SetView b) {
   std::vector<VertexId> out;
-  out.reserve(a.size());
   set_difference_into(a, b, out);
   return out;
 }
@@ -79,10 +71,10 @@ std::size_t set_intersect_count(SetView a, SetView b,
   const simd::Kernels& k = table_or_active(kernels);
   SetView small = a, large = b;
   if (small.size() > large.size()) std::swap(small, large);
-  if (small.size() * simd::kGallopSkewRatio <= large.size())
-    return k.gallop_intersect_count(small.data(), small.size(), large.data(),
-                                    large.size());
-  return k.intersect_count(a.data(), a.size(), b.data(), b.size());
+  return gallop_pays(small.size(), large.size())
+             ? k.gallop_intersect_count(small.data(), small.size(),
+                                        large.data(), large.size())
+             : k.intersect_count(a.data(), a.size(), b.data(), b.size());
 }
 
 std::size_t set_difference_count(SetView a, SetView b) {
@@ -95,36 +87,6 @@ void set_op_into(SetOpKind op, SetView lhs, SetView rhs,
     set_intersect_into(lhs, rhs, out);
   else
     set_difference_into(lhs, rhs, out);
-}
-
-void apply_delta_into(SetView base, SetView adds, SetView dels,
-                      std::vector<VertexId>& out) {
-  out.clear();
-  out.reserve(base.size() + adds.size());
-  std::size_t i = 0, a = 0, d = 0;
-  while (i < base.size() || a < adds.size()) {
-    // Emit the smaller head of base/adds; tombstones only suppress base
-    // elements (dels ⊆ base and dels ∩ adds = ∅ by precondition).
-    if (a >= adds.size() || (i < base.size() && base[i] < adds[a])) {
-      const VertexId v = base[i++];
-      while (d < dels.size() && dels[d] < v) ++d;
-      if (d < dels.size() && dels[d] == v) {
-        ++d;
-        continue;
-      }
-      out.push_back(v);
-    } else {
-      out.push_back(adds[a++]);
-    }
-  }
-}
-
-std::size_t delta_intersect_count(SetView base, SetView adds, SetView dels,
-                                  SetView other) {
-  std::size_t count = set_intersect_count(base, other) +
-                      set_intersect_count(adds, other);
-  count -= set_intersect_count(dels, other);  // dels ⊆ base, disjoint from adds
-  return count;
 }
 
 std::uint32_t bsearch_steps(std::size_t set_size) {

@@ -1,7 +1,8 @@
 // Sorted-set operations over neighbor lists.
 //
-// These are the scalar building blocks of candidate-set generation
-// (paper Fig. 1 line 7/10). Inputs must be strictly ascending; outputs are
+// Every candidate set is built from one primitive: a sorted-set
+// intersection or difference (paper Fig. 1 line 7/10), fused per warp by
+// multi_set_op.hpp (Fig. 8). Inputs must be strictly ascending; outputs are
 // strictly ascending.
 #pragma once
 
@@ -22,36 +23,31 @@ enum class SetOpKind : std::uint8_t {
   kDifference,  // a \ b
 };
 
-enum class IntersectAlgo : std::uint8_t {
-  kMerge,      // linear two-pointer merge, O(|a|+|b|)
-  kBinary,     // binary-search each element of a in b, O(|a| log |b|)
-  kGalloping,  // exponential+binary search, good for skewed sizes
-};
-
 /// True iff v ∈ s (binary search).
 bool set_contains(SetView s, VertexId v);
 
-// The materializing/counting entry points below route kMerge and kGalloping
-// through the runtime-dispatched SIMD kernel tables (setops/simd.hpp) and
-// stay bit-identical to the scalar loops for every table. `kernels` pins one
-// table (the per-plan ISA override threads through here); nullptr follows
-// the process-wide dispatch. kBinary stays a scalar probe loop — it exists
-// as the SIMT cost model's reference strategy, not a throughput path.
+// The materializing and counting entry points below are the one place that
+// chooses between the galloping and block-merge kernels of a table
+// (setops/simd.hpp); every engine builds its candidate sets through them.
+// The skew rule, against simd::kGallopSkewRatio (R):
+//   - a ∩ b gallops, smaller operand first, when |small| * R <= |large|;
+//   - a \ b gallops when |a| * R <= |b|;
+//   - otherwise both block-merge in the caller's operand order.
+// Every table honours the same output contract, so the result is
+// bit-identical whichever kernel runs. `kernels` is the caller's bound
+// table; nullptr follows the process-wide dispatch.
 
-/// a ∩ b appended to `out` (out is cleared first).
+/// a ∩ b into `out` (previous contents are discarded).
 void set_intersect_into(SetView a, SetView b, std::vector<VertexId>& out,
-                        IntersectAlgo algo = IntersectAlgo::kMerge,
                         const simd::Kernels* kernels = nullptr);
-std::vector<VertexId> set_intersect(SetView a, SetView b,
-                                    IntersectAlgo algo = IntersectAlgo::kMerge);
+std::vector<VertexId> set_intersect(SetView a, SetView b);
 
-/// a \ b appended to `out` (out is cleared first).
+/// a \ b into `out` (previous contents are discarded).
 void set_difference_into(SetView a, SetView b, std::vector<VertexId>& out,
                          const simd::Kernels* kernels = nullptr);
 std::vector<VertexId> set_difference(SetView a, SetView b);
 
-/// |a ∩ b| without materializing. Auto-selects the galloping kernel when the
-/// size skew crosses simd::kGallopSkewRatio.
+/// |a ∩ b| without materializing.
 std::size_t set_intersect_count(SetView a, SetView b,
                                 const simd::Kernels* kernels = nullptr);
 /// |a \ b| without materializing.
@@ -60,20 +56,6 @@ std::size_t set_difference_count(SetView a, SetView b);
 /// Applies `op` with the given operand order: result = lhs op rhs.
 void set_op_into(SetOpKind op, SetView lhs, SetView rhs,
                  std::vector<VertexId>& out);
-
-/// Delta-aware adjacency merge for the dynamic-graph subsystem:
-/// out = (base ∪ adds) \ dels, in one linear pass. `adds` and `dels` must be
-/// disjoint (an edge cannot be simultaneously inserted and tombstoned);
-/// `adds` must be disjoint from `base` and `dels` ⊆ base — i.e. the
-/// normalized per-vertex delta adjacency + tombstone lists a GraphSnapshot
-/// maintains. Out is cleared first.
-void apply_delta_into(SetView base, SetView adds, SetView dels,
-                      std::vector<VertexId>& out);
-
-/// Delta-aware intersection without materializing the merged adjacency:
-/// |((base ∪ adds) \ dels) ∩ other|, same preconditions as apply_delta_into.
-std::size_t delta_intersect_count(SetView base, SetView adds, SetView dels,
-                                  SetView other);
 
 /// Number of binary-search probe steps for an element lookup in a set of the
 /// given size (the simulator's per-lane cost unit): ceil(log2(n)) + 1.

@@ -276,11 +276,6 @@ const Kernels& kernels_for(IsaLevel level) {
   return *table;
 }
 
-const Kernels& kernels_for_choice(IsaChoice choice) {
-  if (choice == IsaChoice::kAuto) return kernels();
-  return kernels_for(level_of(choice));
-}
-
 void force_isa(IsaChoice choice) {
   if (choice != IsaChoice::kAuto) {
     // Validate eagerly so a bad force fails at the force site, not inside

@@ -15,11 +15,12 @@
 // the build and CPU support, and the differential harness re-proves it on
 // whole-query counts (TESTING.md).
 //
-// Dispatch order: a per-plan override (PlanOptions::forced_isa) beats the
-// process-wide force (STMATCH_FORCE_ISA env, read once at startup, or
-// force_isa() for tests), which beats CPUID auto-detection. Forcing a level
-// the build or CPU cannot execute is a check_error — silently falling back
-// would let CI "pass" the AVX2 sweep on a scalar build.
+// Dispatch order: a runtime force (force_isa(), for tests) beats the
+// STMATCH_FORCE_ISA env (read once at startup), which beats CPUID
+// auto-detection. Forcing a level the build or CPU cannot execute is a
+// check_error — silently falling back would let CI "pass" the AVX2 sweep on
+// a scalar build. Engines bind kernels() once per execution and pass the
+// table to the set_ops.hpp wrappers, which choose gallop vs. merge.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,8 @@ enum class IsaLevel : std::uint8_t {
 };
 inline constexpr std::size_t kNumIsaLevels = 3;
 
-/// Per-run ISA selection knob (PlanOptions::forced_isa): kAuto follows the
-/// process-wide dispatch, everything else pins one level.
+/// ISA selection for force_isa(): kAuto follows env/CPUID, everything else
+/// pins one level.
 enum class IsaChoice : std::uint8_t {
   kAuto = 0,
   kScalar = 1,
@@ -113,11 +114,6 @@ const Kernels& kernels();
 /// The table of one specific level; check_error if unsupported.
 const Kernels& kernels_for(IsaLevel level);
 
-/// Resolves a per-plan choice against the global dispatch: kAuto returns
-/// kernels(), anything else the pinned level's table (check_error if that
-/// level is unsupported).
-const Kernels& kernels_for_choice(IsaChoice choice);
-
 /// Overrides the process-wide dispatch (kAuto clears the override, reverting
 /// to env/CPUID). Takes effect on the next kernels() call; not synchronized
 /// against concurrently running engines — tests force between runs.
@@ -146,7 +142,8 @@ class ScopedForceIsa {
 /// block-merge ones: gallop when larger/smaller >= this. Measured on the
 /// micro_setops grid (EXPERIMENTS.md) — merge degrades gracefully up to
 /// ~16x skew, galloping wins clearly past ~32x; 32 keeps the merge kernels
-/// on every balanced workload.
+/// on every balanced workload. In the library only the skew rule in
+/// set_ops.cpp reads it, so re-tuning it changes every engine at once.
 inline constexpr std::size_t kGallopSkewRatio = 32;
 
 // Internal: per-ISA tables registered by their translation units. Return

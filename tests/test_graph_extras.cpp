@@ -1,5 +1,5 @@
-// Tests for reordering, connected components, the bitmap index, and the
-// embedding-listing executor.
+// Tests for reordering, connected components, and the embedding-listing
+// executor.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,8 +12,6 @@
 #include "graph/reorder.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"
-#include "setops/bitmap_index.hpp"
-#include "util/rng.hpp"
 
 namespace stm {
 namespace {
@@ -107,43 +105,6 @@ TEST(Components, LabelsPreservedInExtraction) {
 
 TEST(Components, BaGraphIsConnected) {
   EXPECT_EQ(num_components(make_barabasi_albert(500, 3, 77)), 1u);
-}
-
-TEST(BitmapIndexTest, AdjacencyMatchesGraph) {
-  Graph g = make_barabasi_albert(150, 5, 13);
-  BitmapIndex index(g, /*degree_threshold=*/1);  // index everything
-  for (VertexId u = 0; u < g.num_vertices(); u += 7) {
-    ASSERT_TRUE(index.has_bitmap(u));
-    for (VertexId v = 0; v < g.num_vertices(); v += 3)
-      EXPECT_EQ(index.adjacent(u, v), g.has_edge(u, v));
-  }
-}
-
-TEST(BitmapIndexTest, ThresholdSelectsHubs) {
-  Graph g = make_star(40);
-  BitmapIndex index(g, 10);
-  EXPECT_TRUE(index.has_bitmap(0));
-  EXPECT_FALSE(index.has_bitmap(1));
-  EXPECT_EQ(index.num_indexed(), 1u);
-  EXPECT_GT(index.memory_bytes(), 0u);
-}
-
-TEST(BitmapIndexTest, IntersectMatchesScalarKernels) {
-  Rng rng(21);
-  Graph g = make_barabasi_albert(200, 6, 31);
-  BitmapIndex index(g, 12);
-  std::vector<VertexId> out_bitmap, out_scalar;
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto u = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto w = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    auto base = g.neighbors(w);
-    index.intersect_with_neighbors(base, u, out_bitmap);
-    set_intersect_into(base, g.neighbors(u), out_scalar);
-    EXPECT_EQ(out_bitmap, out_scalar);
-    index.subtract_neighbors(base, u, out_bitmap);
-    set_difference_into(base, g.neighbors(u), out_scalar);
-    EXPECT_EQ(out_bitmap, out_scalar);
-  }
 }
 
 TEST(Enumerate, VisitsEveryEmbedding) {
