@@ -131,7 +131,6 @@ class StackEngine {
       STM_CHECK(cfg_.fault.max_unit_attempts >= 1);
       injector_.emplace(cfg_.fault);
     }
-    build_carry_sets();
   }
 
   MatchResult run();
@@ -139,29 +138,7 @@ class StackEngine {
  private:
   using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;  // clock, warp id
 
-  // --- setup -------------------------------------------------------------
-  void build_carry_sets() {
-    // carry_[t]: nodes whose value must migrate with a steal at entry level
-    // t — materialized at or before t and still referenced after t.
-    carry_.resize(k_);
-    const auto& nodes = plan_.nodes();
-    for (std::size_t t = 0; t < k_; ++t) {
-      std::vector<bool> needed(nodes.size(), false);
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (nodes[i].dep >= 0 && nodes[i].mat_level > t)
-          needed[static_cast<std::size_t>(nodes[i].dep)] = true;
-      }
-      // Candidate sets of levels >= t (including t itself: the split range
-      // iterates it); the mat_level filter below keeps only those that are
-      // already materialized at the split point.
-      for (std::size_t l = std::max<std::size_t>(t, 1); l < k_; ++l)
-        needed[static_cast<std::size_t>(plan_.candidate_node(l))] = true;
-      for (std::size_t i = 0; i < nodes.size(); ++i)
-        if (needed[i] && nodes[i].mat_level <= t)
-          carry_[t].push_back(static_cast<std::int16_t>(i));
-    }
-  }
-
+  // --- helpers ----------------------------------------------------------
   void charge(WarpState& w, std::uint64_t cycles) {
     w.clock += cycles;
     w.busy += cycles;
@@ -460,7 +437,7 @@ class StackEngine {
       snap.c0 = victim.c0;
       snap.elements += snap.c0.size();
     }
-    for (std::int16_t id : carry_[t]) {
+    for (std::int16_t id : plan_.carried(t)) {
       const auto& node = plan_.nodes()[static_cast<std::size_t>(id)];
       const auto col = static_cast<std::size_t>(victim.ucol[node.mat_level]);
       const auto& value = victim.values[static_cast<std::size_t>(id)][col];
@@ -754,7 +731,6 @@ class StackEngine {
   std::vector<std::optional<StackSnapshot>> slots_;
   std::vector<std::uint64_t> slot_clock_;
   std::vector<std::uint32_t> idle_count_;
-  std::vector<std::vector<std::int16_t>> carry_;
   EngineStats stats_;
   std::optional<FaultInjector> injector_;
   std::deque<RecoveryUnit> recovery_;

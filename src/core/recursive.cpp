@@ -255,28 +255,10 @@ class RecExec {
     piece.begin = end_[s] = end_[s] - (left + 1) / 2;
     std::copy_n(matched_.begin(), s, piece.prefix.begin());
     if (s > 0) {
-      for (const std::int16_t id : carried(s))
+      for (const std::int16_t id : plan_.carried(s))
         piece.sets.emplace_back(id, values_[static_cast<std::size_t>(id)]);
     }
     donor_->give(std::move(piece));
-  }
-
-  // Nodes a piece at level s must carry: materialized at or before s and
-  // still read at or after it, as a candidate set of a level >= s or as the
-  // dep of a node materialized after s.
-  std::vector<std::int16_t> carried(std::size_t s) const {
-    const auto& nodes = plan_.nodes();
-    std::vector<bool> needed(nodes.size(), false);
-    for (const SetNode& node : nodes)
-      if (node.dep >= 0 && node.mat_level > s)
-        needed[static_cast<std::size_t>(node.dep)] = true;
-    for (std::size_t l = s; l < k_; ++l)
-      needed[static_cast<std::size_t>(plan_.candidate_node(l))] = true;
-    std::vector<std::int16_t> out;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      if (needed[i] && nodes[i].mat_level <= s)
-        out.push_back(static_cast<std::int16_t>(i));
-    return out;
   }
 
   const GraphView g_;

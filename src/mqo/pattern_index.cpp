@@ -3,21 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "baselines/reference.hpp"
-#include "dynamic/incremental.hpp"
 #include "pattern/canonical.hpp"
+#include "pattern/symmetry.hpp"
 #include "util/check.hpp"
 
 namespace stm::mqo {
 
 void PatternIndex::validate(const Pattern& pattern, const PlanOptions& plan) {
   STM_CHECK_MSG(plan.induced == Induced::kEdge,
-                "the standing-query index supports edge-induced semantics "
-                "only: a vertex-induced match can change without containing "
+                "standing queries support edge-induced semantics only: a "
+                "vertex-induced match can change without containing "
                 "any delta edge");
   STM_CHECK_MSG(pattern.size() >= 2,
-                "indexed standing queries require patterns with at least two "
-                "vertices");
+                "standing queries require patterns with at least two vertices");
   STM_CHECK_MSG(pattern.is_connected(), "pattern must be connected");
 }
 
@@ -37,12 +35,8 @@ std::uint32_t PatternIndex::ensure_group(const Pattern& pattern,
   Group& g = groups_[slot];
   g.canon = canon;
   g.rep = pattern.relabeled(canonical_permutation(pattern));
-  // |Aut| via the edge-induced embedding count of the pattern in itself
-  // (every injective edge-preserving self-map is an automorphism); computed
-  // once per group, consulted by every kUniqueSubgraphs projection.
-  g.aut = reference_count(pattern_as_graph(g.rep), g.rep,
-                          {Induced::kEdge, CountMode::kEmbeddings});
-  STM_CHECK(g.aut >= 1);
+  // Computed once per group, consulted by every kUniqueSubgraphs projection.
+  g.aut = stm::automorphisms(g.rep).size();
   g.embed_refs = 0;
   g.members.clear();
   g.terminal_nodes.clear();

@@ -2,43 +2,18 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
+#include <string>
 
+#include "pattern/canonical.hpp"
 #include "util/check.hpp"
 
 namespace stm {
 
-namespace {
-
-/// Upper-triangle adjacency bits of p under the permutation `perm`
-/// (new vertex i = old perm[i]); bit index runs over pairs (i, j), i < j.
-std::uint64_t triangle_bits(const Pattern& p,
-                            const std::vector<std::size_t>& perm) {
-  std::uint64_t bits = 0;
-  int bit = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    for (std::size_t j = i + 1; j < p.size(); ++j, ++bit) {
-      if (p.has_edge(perm[i], perm[j])) bits |= (1ULL << bit);
-    }
-  }
-  return bits;
-}
-
-}  // namespace
-
-std::uint64_t canonical_form(const Pattern& p) {
-  std::vector<std::size_t> perm(p.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  std::uint64_t best = ~0ULL;
-  do {
-    best = std::min(best, triangle_bits(p, perm));
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return best;
-}
-
 bool isomorphic(const Pattern& a, const Pattern& b) {
   if (a.size() != b.size() || a.num_edges() != b.num_edges()) return false;
-  return canonical_form(a) == canonical_form(b);
+  // Labels do not take part: compare the bare structures.
+  return canonical_form(Pattern(a.size(), a.edges())) ==
+         canonical_form(Pattern(b.size(), b.edges()));
 }
 
 std::vector<Pattern> connected_motifs(std::size_t size) {
@@ -50,7 +25,9 @@ std::vector<Pattern> connected_motifs(std::size_t size) {
     for (std::size_t j = i + 1; j < size; ++j)
       pairs.emplace_back(static_cast<int>(i), static_cast<int>(j));
 
-  std::map<std::uint64_t, Pattern> by_canon;
+  // One representative per class (the first edge mask that reaches it),
+  // keyed and therefore iterated by canonical string.
+  std::map<std::string, Pattern> by_canon;
   for (std::uint64_t mask = 0; mask < (1ULL << num_pairs); ++mask) {
     if (__builtin_popcountll(mask) + 1 <
         static_cast<int>(size))  // too few edges to connect
@@ -64,14 +41,11 @@ std::vector<Pattern> connected_motifs(std::size_t size) {
   }
   std::vector<Pattern> out;
   out.reserve(by_canon.size());
-  // Ordered by (edge count, canonical bits): sparse motifs first.
-  std::vector<std::pair<std::pair<std::size_t, std::uint64_t>, Pattern>>
-      keyed;
-  for (auto& [canon, p] : by_canon)
-    keyed.push_back({{p.num_edges(), canon}, p});
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [key, p] : keyed) out.push_back(std::move(p));
+  for (auto& [canon, p] : by_canon) out.push_back(std::move(p));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Pattern& a, const Pattern& b) {
+                     return a.num_edges() < b.num_edges();
+                   });
   return out;
 }
 

@@ -144,6 +144,19 @@ MatchingPlan::MatchingPlan(const Pattern& reordered, const PlanOptions& opts)
     }
   }
 
+  // Carry sets of split-off work (see carried()).
+  for (std::size_t t = 0; t < k; ++t) {
+    std::vector<bool> needed(nodes_.size(), false);
+    for (const SetNode& node : nodes_)
+      if (node.dep >= 0 && node.mat_level > t)
+        needed[static_cast<std::size_t>(node.dep)] = true;
+    for (std::size_t l = std::max<std::size_t>(t, 1); l < k; ++l)
+      needed[static_cast<std::size_t>(candidate_[l])] = true;
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+      if (needed[i] && nodes_[i].mat_level <= t)
+        carried_[t].push_back(static_cast<std::int16_t>(i));
+  }
+
   if (opts_.count_mode == CountMode::kUniqueSubgraphs) {
     constraints_ = symmetry_breaking_constraints(pattern_);
     for (const auto& c : constraints_) constraints_at_[c.larger].push_back(c.smaller);

@@ -102,6 +102,15 @@ class MatchingPlan {
     return candidate_[level];
   }
 
+  /// Nodes whose values a piece of work split off at `level` must carry
+  /// along, ascending: materialized at or before `level` and still read at
+  /// or after it — as the candidate set of a level >= max(level, 1) or as
+  /// the dep of a node materialized after `level`. Empty at level 0.
+  const std::vector<std::int16_t>& carried(std::size_t level) const {
+    STM_CHECK(level < pattern_.size());
+    return carried_[level];
+  }
+
   /// Exact label of query vertex `level` as a one-bit mask (all-ones when
   /// unlabeled); used for level-0 filtering.
   std::uint64_t exact_mask(std::size_t level) const;
@@ -129,6 +138,7 @@ class MatchingPlan {
   std::vector<SetNode> nodes_;
   std::array<std::vector<std::int16_t>, kMaxPatternSize> at_entry_;
   std::array<std::int16_t, kMaxPatternSize> candidate_{};
+  std::array<std::vector<std::int16_t>, kMaxPatternSize> carried_;
   std::vector<SymmetryConstraint> constraints_;
   std::array<std::vector<std::uint8_t>, kMaxPatternSize> constraints_at_;
 };

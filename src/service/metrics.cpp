@@ -218,18 +218,6 @@ std::string MetricsRegistry::to_prometheus() const {
         out << e->name << "{quantile=\"0.99\"} " << fmt_double(s.p99) << "\n";
         out << e->name << "_sum " << fmt_double(s.sum) << "\n";
         out << e->name << "_count " << s.count << "\n";
-        // Cumulative buckets as a sibling family, so dashboards that expect
-        // classic histogram series can still aggregate.
-        out << "# TYPE " << e->name << "_hist histogram\n";
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < s.counts.size(); ++b) {
-          cum += s.counts[b];
-          out << e->name << "_hist_bucket{le=\""
-              << (b < s.bounds.size() ? fmt_double(s.bounds[b]) : "+Inf")
-              << "\"} " << cum << "\n";
-        }
-        out << e->name << "_hist_sum " << fmt_double(s.sum) << "\n";
-        out << e->name << "_hist_count " << s.count << "\n";
         break;
       }
     }

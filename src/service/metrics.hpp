@@ -107,8 +107,7 @@ class MetricsRegistry {
   std::string to_json() const;
 
   /// Prometheus text exposition: counters and gauges as-is; histograms as
-  /// summaries (quantile 0.5/0.95/0.99 + _sum/_count) plus cumulative
-  /// `_bucket{le=...}` lines.
+  /// summaries (quantile 0.5/0.95/0.99 + _sum/_count).
   std::string to_prometheus() const;
 
  private:

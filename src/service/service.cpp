@@ -8,7 +8,6 @@
 
 #include "baselines/reference.hpp"
 #include "core/engine.hpp"
-#include "stream/delta_stream.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -176,20 +175,6 @@ GraphSession::GraphSession(Boot boot)
       cache_hit_rate_(metrics_.gauge("plan_cache_hit_rate",
                                      "Fraction of plan lookups served cached")),
       graph_epoch_(metrics_.gauge("graph_epoch", "Current graph version")),
-      delta_speedup_(metrics_.gauge(
-          "delta_vs_full_speedup",
-          "Registration-time full-enumeration ms / last batch delta ms")),
-      standing_queries_(
-          metrics_.gauge("standing_queries", "Registered standing queries")),
-      standing_patterns_(metrics_.gauge(
-          "standing_patterns",
-          "Distinct canonical pattern groups in the standing-query index")),
-      trie_nodes_(metrics_.gauge(
-          "trie_nodes", "Nodes of the shared-prefix plan trie")),
-      shared_prefix_ratio_(metrics_.gauge(
-          "shared_prefix_ratio",
-          "Fraction of per-plan enumeration levels served by a shared trie "
-          "prefix (1 - nodes / plan positions)")),
       shard_imbalance_(metrics_.gauge(
           "shard_imbalance",
           "Max/mean per-shard edge load (intra + half incident cut)")),
@@ -214,19 +199,14 @@ GraphSession::GraphSession(Boot boot)
                                         "Admission-to-execution wait")),
       update_latency_ms_(metrics_.histogram(
           "update_latency_ms", "apply_updates wall time per batch")),
-      incremental_latency_ms_(metrics_.histogram(
-          "incremental_latency_ms",
-          "Standing-query delta computation time per batch")),
-      indexed_delta_latency_ms_(metrics_.histogram(
-          "indexed_delta_latency_ms",
-          "Shared trie-pass wall time per batch (serves every standing "
-          "query at once; indexed mode only)")),
       stream_backpressure_ms_(metrics_.histogram(
           "stream_backpressure_ms",
           "Producer wall time blocked on stream backpressure, per stream")),
       checkpoint_duration_ms_(metrics_.histogram(
           "checkpoint_duration_ms",
           "Durable checkpoint install wall time (snapshot + fsync + rename)")),
+      standing_(cfg_.standing_index, cfg_.host_threads_per_query, plan_cache_,
+                metrics_),
       watchdog_(cfg_.resilience.watchdog_stall_ms,
                 cfg_.resilience.watchdog_poll_ms, &watchdog_kills_),
       admission_(std::max<std::size_t>(1, cfg_.max_concurrent_queries),
@@ -252,9 +232,8 @@ GraphSession::GraphSession(Boot boot)
     persist::RecoveredState& rec = boot.recovered;
     recovery_report_ = rec.report;
     if (rec.checkpoint.has_value()) {
-      next_standing_id_ = rec.checkpoint->next_standing_id;
-      for (const persist::StandingEntry& e : rec.checkpoint->standing)
-        restore_standing(e);
+      standing_.restore(rec.checkpoint->standing,
+                        rec.checkpoint->next_standing_id);
     }
     // Replay the WAL tail in LSN order through the regular apply path. The
     // update fault injector is installed only *after* replay: a replayed
@@ -276,23 +255,16 @@ GraphSession::GraphSession(Boot boot)
                         "WAL replay diverged: record "
                             << r.lsn
                             << " re-applied with a different effective delta");
-          apply_standing_deltas(from, applied.applied, r.epoch, nullptr);
+          standing_.apply(from, applied.applied, r.epoch, nullptr);
           break;
         }
         case persist::WalRecordType::kRegisterStanding:
-          restore_standing(r.standing);
-          next_standing_id_ = std::max(next_standing_id_, r.standing.id + 1);
+          standing_.restore({r.standing}, r.standing.id + 1);
           break;
         case persist::WalRecordType::kUnregisterStanding:
-          standing_.erase(r.standing_id);
-          if (cfg_.standing_index) standing_index_.remove(r.standing_id);
+          standing_.unregister(r.standing_id, nullptr);
           break;
       }
-    }
-    standing_queries_.set(static_cast<double>(standing_.size()));
-    if (cfg_.standing_index) {
-      std::lock_guard<std::mutex> standing_lock(standing_mu_);
-      publish_index_metrics();
     }
     graph_epoch_.set(static_cast<double>(dyn_.epoch()));
     // Fold the replayed deltas back into a flat CSR: post-recovery queries
@@ -909,13 +881,7 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
       // memory and durable state stay in lockstep either way. No-op batches
       // skip the hook entirely (no epoch bump, nothing to recover).
       applied = dyn_.apply(batch, [this](const ApplyResult& r) {
-        const persist::WalAppendResult res =
-            persist_->log_update(r.snapshot->epoch(), r.applied);
-        wal_appended_bytes_.inc(res.bytes);
-        if (res.faults > 0) {
-          faults_injected_total_.inc(res.faults);
-          recovery_units_total_.inc(1);  // the record landed after repairs
-        }
+        record_wal_append(persist_->log_update(r.snapshot->epoch(), r.applied));
       });
     } else {
       applied = dyn_.apply(batch);
@@ -951,7 +917,10 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   // touched shards only); queries pin the pair atomically under shard_mu_.
   if (cfg_.sharding.enabled()) rebuild_shards(applied.snapshot, &applied.applied);
 
-  apply_standing_deltas(from, applied.applied, out.epoch, &out);
+  StandingBatch standing;
+  standing_.apply(from, applied.applied, out.epoch, &standing);
+  out.updates = std::move(standing.updates);
+  out.incremental_ms = standing.ms;
 
   if (persist_ != nullptr && cfg_.persistence.checkpoint_every_batches > 0 &&
       ++batches_since_checkpoint_ >=
@@ -968,361 +937,48 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
   return out;
 }
 
-void GraphSession::apply_standing_deltas(
-    const std::shared_ptr<const GraphSnapshot>& from, const DeltaEdges& applied,
-    std::uint64_t epoch, UpdateOutcome* out) {
-  if (applied.empty()) return;
-  Timer inc_timer;
-  // The anchored delta enumerations read the pre-batch snapshot.
-  const auto storage_lease = from->storage_lease();
-  std::lock_guard<std::mutex> standing_lock(standing_mu_);
-  if (cfg_.standing_index) {
-    apply_standing_deltas_indexed(from, applied, epoch, out);
-    if (out != nullptr) {
-      out->incremental_ms = inc_timer.elapsed_ms();
-      incremental_latency_ms_.observe(out->incremental_ms);
-    }
-    return;
-  }
-  for (auto& [id, sq] : standing_) {
-    Timer one;
-    const DeltaMatchResult d = sq.matcher->count_delta(from, applied);
-    const double delta_ms = one.elapsed_ms();
-    sq.count = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(sq.count) + d.delta);
-    sq.epoch = epoch;
-    ++sq.batches;
-    if (sq.full_ms > 0.0 && delta_ms > 0.0) {
-      delta_speedup_.set(sq.full_ms / delta_ms);
-    }
-    StandingQueryUpdate upd;
-    upd.query_id = id;
-    upd.epoch = epoch;
-    upd.delta = d.delta;
-    upd.count = sq.count;
-    upd.delta_ms = delta_ms;
-    if (sq.on_update) sq.on_update(upd);
-    if (out != nullptr) out->updates.push_back(std::move(upd));
-
-    if (sq.streamer != nullptr) {
-      Timer emb_timer;
-      stream::DeltaBatch db = sq.streamer->delta(from, applied);
-      StandingQueryDelta sd;
-      sd.query_id = id;
-      sd.epoch = epoch;
-      sd.delta_ms = emb_timer.elapsed_ms();
-      // Embedding-level and count-level deltas are computed independently
-      // (enumeration vs. counting over the same anchored identity); they
-      // must agree exactly.
-      STM_CHECK_MSG(static_cast<std::int64_t>(db.added.size()) -
-                            static_cast<std::int64_t>(db.retracted.size()) ==
-                        d.delta,
-                    "standing query " << id << ": embedding delta "
-                                      << db.added.size() << " - "
-                                      << db.retracted.size()
-                                      << " disagrees with count delta "
-                                      << d.delta);
-      sd.added = std::move(db.added);
-      sd.retracted = std::move(db.retracted);
-      sq.on_delta(sd);
-    }
-  }
-  if (out != nullptr) {
-    out->incremental_ms = inc_timer.elapsed_ms();
-    incremental_latency_ms_.observe(out->incremental_ms);
-  }
-}
-
-void GraphSession::apply_standing_deltas_indexed(
-    const std::shared_ptr<const GraphSnapshot>& from, const DeltaEdges& applied,
-    std::uint64_t epoch, UpdateOutcome* out) {
-  if (standing_.empty()) return;
-  Timer shared_timer;
-  const mqo::MultiQueryEvaluator evaluator(standing_index_);
-  const mqo::EvalResult res = evaluator.evaluate(from, applied);
-  const double shared_ms = shared_timer.elapsed_ms();
-  indexed_delta_latency_ms_.observe(shared_ms);
-  // One trie pass served every registration; a query's reported delta_ms is
-  // its amortized share of the pass.
-  const double amortized_ms = shared_ms / static_cast<double>(standing_.size());
-  for (auto& [id, sq] : standing_) {
-    mqo::QueryDelta qd = standing_index_.project(id, res);
-    sq.count = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(sq.count) + qd.delta);
-    sq.epoch = epoch;
-    ++sq.batches;
-    if (sq.full_ms > 0.0 && amortized_ms > 0.0) {
-      delta_speedup_.set(sq.full_ms / amortized_ms);
-    }
-    StandingQueryUpdate upd;
-    upd.query_id = id;
-    upd.epoch = epoch;
-    upd.delta = qd.delta;
-    upd.count = sq.count;
-    upd.delta_ms = amortized_ms;
-    if (sq.on_update) sq.on_update(upd);
-    if (out != nullptr) out->updates.push_back(std::move(upd));
-
-    if (sq.on_delta) {
-      // Counts and embedding lists come from the same walk here, but the
-      // projection arithmetic (|Aut| division, remap) is independent; keep
-      // the same cross-check the per-pattern path enforces.
-      STM_CHECK_MSG(static_cast<std::int64_t>(qd.added.size()) -
-                            static_cast<std::int64_t>(qd.retracted.size()) ==
-                        qd.delta,
-                    "standing query " << id << ": embedding delta "
-                                      << qd.added.size() << " - "
-                                      << qd.retracted.size()
-                                      << " disagrees with count delta "
-                                      << qd.delta);
-      StandingQueryDelta sd;
-      sd.query_id = id;
-      sd.epoch = epoch;
-      sd.delta_ms = amortized_ms;
-      sd.added = std::move(qd.added);
-      sd.retracted = std::move(qd.retracted);
-      sq.on_delta(sd);
-    }
-  }
-}
-
-std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
-  // Baseline: one full enumeration on the current version. Serialized with
-  // the update path so the (count, epoch) pair is consistent — a batch
-  // applied concurrently would otherwise race the baseline.
-  std::lock_guard<std::mutex> lock(update_mu_);
-  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  if (cfg_.standing_index) {
-    return register_standing_indexed(std::move(cfg), snap);
-  }
-
-  IncrementalOptions inc_opts;
-  inc_opts.plan = cfg.plan;
-  inc_opts.engine = cfg.engine;
-  auto matcher = std::make_shared<const IncrementalMatcher>(cfg.pattern,
-                                                            inc_opts);
-
-  auto plan = plan_cache_.get_or_compile(cfg.pattern, cfg.plan, snap->epoch());
-  HostEngineConfig host;
-  host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-  Timer full_timer;
-  const auto storage_lease = snap->storage_lease();
-  const HostMatchResult full = host_match(snap->view(), *plan, host);
-  const double full_ms = full_timer.elapsed_ms();
-
-  StandingQuery sq;
-  sq.pattern = cfg.pattern;
-  sq.matcher = std::move(matcher);
-  sq.on_update = std::move(cfg.on_update);
-  if (cfg.on_delta) {
-    // The DeltaStreamer constructor enforces kEmbeddings count mode (and,
-    // via AnchoredEnumerator, edge-induced semantics).
-    sq.streamer =
-        std::make_shared<const stream::DeltaStreamer>(cfg.pattern, cfg.plan);
-    sq.on_delta = std::move(cfg.on_delta);
-  }
-  sq.count = full.count;
-  sq.epoch = snap->epoch();
-  sq.full_ms = full_ms;
-  sq.plan = cfg.plan;
-  sq.engine = cfg.engine;
-
-  std::lock_guard<std::mutex> standing_lock(standing_mu_);
-  const std::uint64_t id = next_standing_id_;
-  if (persist_ != nullptr) {
-    // Logged before the id is consumed or the query installed: if the append
-    // exhausts its chaos budget the throw leaves memory and the id space
-    // untouched, so replay and live state can never disagree.
-    const persist::WalAppendResult res =
-        persist_->log_register(standing_entry(id, sq), snap->epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
-  }
-  ++next_standing_id_;
-  standing_.emplace(id, std::move(sq));
-  standing_queries_.set(static_cast<double>(standing_.size()));
-  return id;
-}
-
-std::uint64_t GraphSession::register_standing_indexed(
-    StandingQueryConfig cfg, const std::shared_ptr<const GraphSnapshot>& snap) {
-  // Everything the per-pattern path would reject fails here, before any
-  // side effect (WAL append, index mutation) — a validated add() below
-  // cannot fail halfway.
-  mqo::PatternIndex::validate(cfg.pattern, cfg.plan);
-  if (cfg.on_delta) {
-    STM_CHECK_MSG(cfg.plan.count_mode == CountMode::kEmbeddings,
-                  "standing delta streams require kEmbeddings count mode: a "
-                  "subgraph can have several embeddings, so retraction of 'a "
-                  "subgraph' is ill-defined at embedding granularity");
-  }
-
-  // Baseline count. A canonical-group sibling's standing count converts
-  // arithmetically (both modes relate by the group's |Aut| factor), so
-  // duplicate registrations — the at-scale common case — cost no
-  // enumeration at all. standing_/index reads are safe here: writers are
-  // serialized by update_mu_, which the caller holds.
-  std::uint64_t count = 0;
-  double full_ms = 0.0;
-  const std::optional<std::uint64_t> sibling =
-      standing_index_.any_member(cfg.pattern);
-  if (sibling.has_value()) {
-    const StandingQuery& sib = standing_.at(*sibling);
-    const std::uint64_t aut = standing_index_.automorphisms(*sibling);
-    const std::uint64_t embeddings =
-        sib.count *
-        (sib.plan.count_mode == CountMode::kUniqueSubgraphs ? aut : 1);
-    count = cfg.plan.count_mode == CountMode::kUniqueSubgraphs
-                ? embeddings / aut
-                : embeddings;
-  } else {
-    auto plan = plan_cache_.get_or_compile(cfg.pattern, cfg.plan, snap->epoch());
-    HostEngineConfig host;
-    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-    Timer full_timer;
-    const auto storage_lease = snap->storage_lease();
-    count = host_match(snap->view(), *plan, host).count;
-    full_ms = full_timer.elapsed_ms();
-  }
-
-  StandingQuery sq;
-  sq.pattern = cfg.pattern;
-  sq.on_update = std::move(cfg.on_update);
-  sq.on_delta = std::move(cfg.on_delta);
-  sq.count = count;
-  sq.epoch = snap->epoch();
-  sq.full_ms = full_ms;
-  sq.plan = cfg.plan;
-  sq.engine = cfg.engine;
-
-  std::lock_guard<std::mutex> standing_lock(standing_mu_);
-  const std::uint64_t id = next_standing_id_;
-  if (persist_ != nullptr) {
-    const persist::WalAppendResult res =
-        persist_->log_register(standing_entry(id, sq), snap->epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
-  }
-  ++next_standing_id_;
-  standing_index_.add(id, sq.pattern, sq.plan, static_cast<bool>(sq.on_delta));
-  standing_.emplace(id, std::move(sq));
-  standing_queries_.set(static_cast<double>(standing_.size()));
-  publish_index_metrics();
-  return id;
-}
-
-bool GraphSession::unregister_standing_query(std::uint64_t id) {
-  // Serialized with the update path so the unregistration's WAL position is
-  // unambiguous relative to update records.
-  std::lock_guard<std::mutex> update_lock(update_mu_);
-  std::lock_guard<std::mutex> lock(standing_mu_);
-  auto it = standing_.find(id);
-  if (it == standing_.end()) return false;
-  if (persist_ != nullptr) {
-    const persist::WalAppendResult res =
-        persist_->log_unregister(id, dyn_.epoch());
-    wal_appended_bytes_.inc(res.bytes);
-    if (res.faults > 0) {
-      faults_injected_total_.inc(res.faults);
-      recovery_units_total_.inc(1);
-    }
-  }
-  standing_.erase(it);
-  if (cfg_.standing_index) {
-    standing_index_.remove(id);
-    publish_index_metrics();
-  }
-  standing_queries_.set(static_cast<double>(standing_.size()));
-  return true;
-}
-
-void GraphSession::publish_index_metrics() {
-  const mqo::IndexStats st = standing_index_.stats();
-  standing_patterns_.set(static_cast<double>(st.groups));
-  trie_nodes_.set(static_cast<double>(st.trie.nodes));
-  shared_prefix_ratio_.set(st.trie.shared_prefix_ratio);
-}
-
-mqo::IndexStats GraphSession::standing_index_stats() const {
-  std::lock_guard<std::mutex> lock(standing_mu_);
-  return standing_index_.stats();
-}
-
-std::optional<StandingQueryInfo> GraphSession::standing_query(
-    std::uint64_t id) const {
-  std::lock_guard<std::mutex> lock(standing_mu_);
-  auto it = standing_.find(id);
-  if (it == standing_.end()) return std::nullopt;
-  StandingQueryInfo info;
-  info.id = id;
-  info.pattern = it->second.pattern;
-  info.count = it->second.count;
-  info.epoch = it->second.epoch;
-  info.batches_observed = it->second.batches;
-  info.full_ms = it->second.full_ms;
-  return info;
-}
-
-persist::StandingEntry GraphSession::standing_entry(
-    std::uint64_t id, const StandingQuery& sq) const {
-  persist::StandingEntry e;
-  e.id = id;
-  e.pattern = sq.pattern.to_string();
-  e.plan = sq.plan;
-  e.engine = sq.engine;
-  e.count = sq.count;
-  e.epoch = sq.epoch;
-  e.batches = sq.batches;
-  e.full_ms = sq.full_ms;
-  return e;
-}
-
-void GraphSession::restore_standing(const persist::StandingEntry& entry) {
-  // Counts are durable, not recomputed: the registration record carries the
-  // baseline and update records advance it through the same delta path that
-  // ran before the crash, so no full re-enumeration happens at boot. The
-  // matcher itself is stateless and is simply rebuilt. Callbacks and delta
-  // streamers cannot be serialized; a restored session re-attaches them by
-  // registering fresh queries.
-  StandingQuery sq;
-  sq.pattern = Pattern::parse(entry.pattern);
-  if (!cfg_.standing_index) {
-    IncrementalOptions inc_opts;
-    inc_opts.plan = entry.plan;
-    inc_opts.engine = entry.engine;
-    sq.matcher =
-        std::make_shared<const IncrementalMatcher>(sq.pattern, inc_opts);
-  }
-  sq.count = entry.count;
-  sq.epoch = entry.epoch;
-  sq.batches = entry.batches;
-  sq.full_ms = entry.full_ms;
-  sq.plan = entry.plan;
-  sq.engine = entry.engine;
-  std::lock_guard<std::mutex> lock(standing_mu_);
-  if (cfg_.standing_index) {
-    // add() replaces an existing id, mirroring insert_or_assign below, so a
-    // checkpoint-manifest entry superseded by a WAL record rebuilds the
-    // exact same trie state (delta streamers do not survive a restart, so
-    // restored registrations never collect embeddings).
-    standing_index_.add(entry.id, sq.pattern, entry.plan,
-                        /*wants_embeddings=*/false);
-    publish_index_metrics();
-  }
-  standing_.insert_or_assign(entry.id, std::move(sq));
-}
-
 bool GraphSession::checkpoint() {
   STM_CHECK_MSG(persist_ != nullptr,
                 "checkpoint() requires SessionConfig::persistence");
   std::lock_guard<std::mutex> lock(update_mu_);
   return checkpoint_locked();
+}
+
+std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
+  // Serialized with the update path so the baseline's (count, epoch) pair is
+  // consistent and the registration's WAL position is unambiguous.
+  std::lock_guard<std::mutex> lock(update_mu_);
+  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
+  return standing_.register_query(
+      std::move(cfg), snap, [&](const persist::StandingEntry& e) {
+        if (persist_ != nullptr)
+          record_wal_append(persist_->log_register(e, snap->epoch()));
+      });
+}
+
+bool GraphSession::unregister_standing_query(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(update_mu_);
+  return standing_.unregister(id, [&](const persist::StandingEntry& e) {
+    if (persist_ != nullptr)
+      record_wal_append(persist_->log_unregister(e.id, dyn_.epoch()));
+  });
+}
+
+std::optional<StandingQueryInfo> GraphSession::standing_query(
+    std::uint64_t id) const {
+  return standing_.info(id);
+}
+
+mqo::IndexStats GraphSession::standing_index_stats() const {
+  return standing_.index_stats();
+}
+
+void GraphSession::record_wal_append(const persist::WalAppendResult& res) {
+  wal_appended_bytes_.inc(res.bytes);
+  if (res.faults > 0) {
+    faults_injected_total_.inc(res.faults);
+    recovery_units_total_.inc(1);  // the record landed after repairs
+  }
 }
 
 bool GraphSession::checkpoint_locked() {
@@ -1331,13 +987,7 @@ bool GraphSession::checkpoint_locked() {
   const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
   data.epoch = snap->epoch();
   data.graph = snap->compacted();
-  {
-    std::lock_guard<std::mutex> standing_lock(standing_mu_);
-    data.next_standing_id = next_standing_id_;
-    data.standing.reserve(standing_.size());
-    for (const auto& [id, sq] : standing_)
-      data.standing.push_back(standing_entry(id, sq));
-  }
+  standing_.manifest(&data);
   const std::uint64_t faults_before = persist_->faults_injected();
   bool ok = true;
   try {

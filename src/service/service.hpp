@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -53,22 +52,18 @@
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/graph.hpp"
-#include "mqo/evaluator.hpp"
 #include "pattern/pattern.hpp"
 #include "persist/manager.hpp"
 #include "service/admission.hpp"
 #include "service/metrics.hpp"
 #include "service/plan_cache.hpp"
 #include "service/resilience.hpp"
+#include "service/standing.hpp"
 #include "service/watchdog.hpp"
 #include "storage/store.hpp"
 #include "util/timer.hpp"
 
 namespace stm {
-
-namespace stream {
-class DeltaStreamer;
-}  // namespace stream
 
 // Streaming endpoints (service/stream.hpp).
 class EmbeddingStream;
@@ -127,67 +122,6 @@ struct QueryResult {
   std::string error;
 
   bool ok() const { return status == QueryStatus::kOk; }
-};
-
-/// Delivered to a standing query's subscriber (and collected into the
-/// UpdateOutcome) once per applied batch.
-struct StandingQueryUpdate {
-  std::uint64_t query_id = 0;
-  /// Epoch after the batch.
-  std::uint64_t epoch = 0;
-  /// Exact match-count change caused by the batch.
-  std::int64_t delta = 0;
-  /// Cumulative match count after the batch.
-  std::uint64_t count = 0;
-  /// Wall time of this query's delta computation, ms.
-  double delta_ms = 0.0;
-};
-
-/// Delivered to a standing query's on_delta subscriber once per applied
-/// batch: the exact embedding-level change the batch caused. Embeddings are
-/// in original-pattern vertex order, lexicographically sorted within each
-/// list; added and retracted are disjoint (an effective delta never both
-/// deletes and inserts the same edge).
-struct StandingQueryDelta {
-  std::uint64_t query_id = 0;
-  /// Epoch after the batch.
-  std::uint64_t epoch = 0;
-  /// Matches of the post-batch graph that did not exist before.
-  std::vector<Embedding> added;
-  /// Pre-batch matches destroyed by the batch.
-  std::vector<Embedding> retracted;
-  /// Wall time of this query's embedding-delta computation, ms.
-  double delta_ms = 0.0;
-};
-
-struct StandingQueryConfig {
-  Pattern pattern;
-  /// Count semantics (induced must be kEdge; see IncrementalMatcher).
-  PlanOptions plan;
-  /// Engine for the anchored delta enumerations.
-  DeltaEngine engine = DeltaEngine::kHost;
-  /// Optional subscriber, invoked synchronously per applied batch from the
-  /// update path (keep it cheap; it runs under the writer lock).
-  std::function<void(const StandingQueryUpdate&)> on_update;
-  /// Optional embedding-level subscriber: the added/retracted embeddings of
-  /// each batch, not just the count delta. Requires count_mode ==
-  /// kEmbeddings (registration throws check_error otherwise — "a subgraph
-  /// was retracted" is ill-defined at embedding granularity). Invoked
-  /// synchronously from the update path, after on_update.
-  std::function<void(const StandingQueryDelta&)> on_delta;
-};
-
-struct StandingQueryInfo {
-  std::uint64_t id = 0;
-  Pattern pattern;
-  /// Current cumulative count (initial full enumeration + batch deltas).
-  std::uint64_t count = 0;
-  /// Epoch the count is valid for.
-  std::uint64_t epoch = 0;
-  std::uint64_t batches_observed = 0;
-  /// Wall time of the registration-time full enumeration, ms — the baseline
-  /// of the delta-vs-full speedup gauge.
-  double full_ms = 0.0;
 };
 
 /// Result of one apply_updates call.
@@ -271,14 +205,12 @@ struct SessionConfig {
   /// manifest, and construction runs crash recovery against whatever the
   /// directory holds (checkpoint load + WAL tail replay).
   persist::PersistenceConfig persistence;
-  /// Standing-query evaluation mode (DESIGN.md §16). false: every
-  /// registered pattern runs its own IncrementalMatcher/DeltaStreamer per
-  /// applied batch (cost linear in registrations). true: registrations land
-  /// in a shared-prefix plan trie (src/mqo/) and each batch runs ONE
-  /// anchored enumeration pass per delta edge serving every standing query
-  /// at once — per-query deltas are bit-identical to the per-pattern loop.
-  /// Indexed evaluation always enumerates on the host recursion;
-  /// StandingQueryConfig::engine is recorded but not consulted.
+  /// Standing-query evaluation mode (DESIGN.md §16, service/standing.hpp).
+  /// false: each registration runs its own IncrementalMatcher/DeltaStreamer
+  /// per batch (cost linear in registrations). true: ONE shared plan-trie
+  /// pass per batch serves every registration, bit-identically. Indexed
+  /// evaluation enumerates on the host recursion (StandingQueryConfig::engine
+  /// is recorded, not consulted).
   bool standing_index = false;
   /// Graph-storage backend (DESIGN.md §14): kUncompressed serves the raw
   /// CSR; compressed backends re-encode the base graph (and every compacted
@@ -371,10 +303,10 @@ class GraphSession {
   /// result is deterministic). Blocks until the enumeration completes.
   TopKResult top_k(const QueryRequest& req, const TopKOptions& opts);
 
-  /// Registers a pattern for per-batch count deltas. Runs one full
-  /// enumeration on the current snapshot to establish the baseline count
-  /// (and the full-cost reference of the speedup gauge). Throws check_error
-  /// for unsupported options (e.g. vertex-induced matching). With
+  /// Registers a pattern for per-batch count deltas. The baseline count is
+  /// one full enumeration on the current snapshot (indexed: a canonical-group
+  /// sibling's count when there is one). Throws check_error for unsupported
+  /// options (e.g. vertex-induced matching) before any enumeration. With
   /// persistence, the registration is WAL-logged (baseline count included)
   /// before it takes effect; an exhausted kWalAppend budget throws
   /// FaultInjectedError and registers nothing.
@@ -411,23 +343,6 @@ class GraphSession {
   /// between the handle, the producer thread, and the session's live-stream
   /// registry.
   struct StreamState;
-  struct StandingQuery {
-    Pattern pattern;
-    /// Registration options, kept for checkpoint manifests (the matcher
-    /// does not expose them back).
-    PlanOptions plan;
-    DeltaEngine engine = DeltaEngine::kHost;
-    std::shared_ptr<const IncrementalMatcher> matcher;
-    std::function<void(const StandingQueryUpdate&)> on_update;
-    /// Present iff on_delta is set: the embedding-level delta enumerator.
-    std::shared_ptr<const stream::DeltaStreamer> streamer;
-    std::function<void(const StandingQueryDelta&)> on_delta;
-    std::uint64_t count = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t batches = 0;
-    double full_ms = 0.0;
-  };
-
   void execute(QueryJob& job);
   /// One engine call on `kind`, exceptions contained (check_error →
   /// kInvalidArgument, anything else → kInternalError).
@@ -454,43 +369,17 @@ class GraphSession {
                                 const std::shared_ptr<CancelToken>& token);
   /// The update path proper (runs on a dispatcher worker).
   UpdateOutcome do_apply(const UpdateBatch& batch);
-  /// Per-batch standing-query sweep (count deltas, subscribers, speedup
-  /// gauge), shared between do_apply and WAL replay (`out` null there: no
-  /// outcome to fill, no latency to record).
-  void apply_standing_deltas(const std::shared_ptr<const GraphSnapshot>& from,
-                             const DeltaEdges& applied, std::uint64_t epoch,
-                             UpdateOutcome* out);
-  /// Indexed-mode body of apply_standing_deltas: one shared trie pass, then
-  /// per-registration projection + delivery. Caller holds standing_mu_.
-  void apply_standing_deltas_indexed(
-      const std::shared_ptr<const GraphSnapshot>& from,
-      const DeltaEdges& applied, std::uint64_t epoch, UpdateOutcome* out);
-  /// Indexed-mode body of register_standing_query (caller holds update_mu_):
-  /// duplicate registrations take their baseline from a canonical-group
-  /// sibling's standing count instead of re-enumerating the graph.
-  std::uint64_t register_standing_indexed(
-      StandingQueryConfig cfg,
-      const std::shared_ptr<const GraphSnapshot>& snap);
-  /// Publishes standing_patterns / trie_nodes / shared_prefix_ratio from the
-  /// index. Caller holds standing_mu_.
-  void publish_index_metrics();
-
   /// Pre-construction state assembly: runs recovery (when persistence is
   /// on) so the member graph can be built directly at the checkpointed
   /// epoch; the delegated-to constructor then replays the WAL tail.
   struct Boot;
   explicit GraphSession(Boot boot);
   static Boot make_boot(Graph graph, SessionConfig cfg);
-  /// Re-creates a standing query from its durable entry. Counts are
-  /// restored, not recomputed: the entry was logged after the baseline
-  /// enumeration (registration) or carries the cumulative count
-  /// (checkpoint manifest). Subscriber callbacks do not survive a restart.
-  void restore_standing(const persist::StandingEntry& entry);
-  /// Serializable form of one registered standing query.
-  persist::StandingEntry standing_entry(std::uint64_t id,
-                                        const StandingQuery& sq) const;
   /// checkpoint() body; caller holds update_mu_.
   bool checkpoint_locked();
+  /// Folds one WAL append into the byte and fault counters (a repaired
+  /// append counts as one recovered unit).
+  void record_wal_append(const persist::WalAppendResult& res);
   /// Publishes the storage gauges/counters from the current snapshot's
   /// backend. Store counters are cumulative per-store and restart from zero
   /// when compact() rebuilds the backend; the last-seen state under
@@ -536,13 +425,6 @@ class GraphSession {
   /// Serializes apply/compact (single logical writer); never held while an
   /// engine runs a query.
   std::mutex update_mu_;
-  mutable std::mutex standing_mu_;
-  std::map<std::uint64_t, StandingQuery> standing_;
-  /// The shared-prefix pattern index (used iff cfg_.standing_index). Reads
-  /// are safe under either update_mu_ or standing_mu_; writes happen under
-  /// both (registration/unregistration) or during single-threaded boot.
-  mqo::PatternIndex standing_index_;
-  std::uint64_t next_standing_id_ = 1;
 
   std::mutex tokens_mu_;
   std::unordered_set<std::shared_ptr<CancelToken>> active_tokens_;
@@ -604,11 +486,6 @@ class GraphSession {
   Gauge& queue_depth_;
   Gauge& cache_hit_rate_;
   Gauge& graph_epoch_;
-  Gauge& delta_speedup_;
-  Gauge& standing_queries_;
-  Gauge& standing_patterns_;
-  Gauge& trie_nodes_;
-  Gauge& shared_prefix_ratio_;
   Gauge& shard_imbalance_;
   Gauge& cut_edge_fraction_;
   Gauge& open_streams_;
@@ -619,10 +496,11 @@ class GraphSession {
   Histogram& latency_ms_;
   Histogram& queue_wait_ms_;
   Histogram& update_latency_ms_;
-  Histogram& incremental_latency_ms_;
-  Histogram& indexed_delta_latency_ms_;
   Histogram& stream_backpressure_ms_;
   Histogram& checkpoint_duration_ms_;
+
+  /// Standing queries; their mutators run under update_mu_.
+  StandingRegistry standing_;
 
   // One breaker per engine kind, guarded by breakers_mu_ (engine calls run
   // outside the lock; only the state transitions are serialized). The

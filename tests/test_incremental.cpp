@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -267,6 +271,58 @@ TEST(StandingQuery, DeliversExactDeltasPerBatch) {
   EXPECT_TRUE(session.unregister_standing_query(id));
   EXPECT_FALSE(session.unregister_standing_query(id));
   EXPECT_FALSE(session.standing_query(id).has_value());
+}
+
+TEST(StandingQuery, SubscriberMayReadStandingState) {
+  // Subscribers run after the batch's standing state is final and outside
+  // the registry's lock: reading it back from a callback must neither block
+  // nor see a half-applied batch, in either evaluation mode.
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed" : "per-pattern");
+    SessionConfig scfg;
+    scfg.standing_index = indexed;
+    GraphSession session(make_erdos_renyi(30, 0.15, 4), scfg);
+    std::uint64_t id = 0;
+    int update_reads = 0;
+    int delta_reads = 0;
+    StandingQueryConfig cfg;
+    cfg.pattern = Pattern::parse("0-1,1-2,2-0");
+    cfg.on_update = [&](const StandingQueryUpdate& u) {
+      const auto info = session.standing_query(id);
+      ASSERT_TRUE(info.has_value());
+      EXPECT_EQ(info->count, u.count);
+      EXPECT_EQ(info->epoch, u.epoch);
+      EXPECT_EQ(session.standing_index_stats().registrations,
+                indexed ? 1u : 0u);
+      ++update_reads;
+    };
+    cfg.on_delta = [&](const StandingQueryDelta& d) {
+      const auto info = session.standing_query(id);
+      ASSERT_TRUE(info.has_value());
+      EXPECT_EQ(info->epoch, d.epoch);
+      ++delta_reads;
+    };
+    id = session.register_standing_query(cfg);
+
+    Rng rng(8);
+    int applied = 0;
+    for (int i = 0; i < 3; ++i) {
+      std::future<UpdateOutcome> f =
+          session.submit_updates(random_batch(*session.snapshot(), rng, 4));
+      if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+        // The writer is stuck inside a subscriber; the session cannot be
+        // torn down, so end the process with a failure.
+        std::fprintf(stderr, "subscriber reading standing state deadlocked\n");
+        std::_Exit(1);
+      }
+      const UpdateOutcome out = f.get();
+      ASSERT_TRUE(out.ok());
+      applied += out.applied.empty() ? 0 : 1;
+    }
+    ASSERT_GT(applied, 0);
+    EXPECT_EQ(update_reads, applied);
+    EXPECT_EQ(delta_reads, applied);
+  }
 }
 
 TEST(StandingQuery, MetricsTrackUpdates) {

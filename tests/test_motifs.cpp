@@ -3,6 +3,7 @@
 
 #include "baselines/reference.hpp"
 #include "graph/generators.hpp"
+#include "pattern/canonical.hpp"
 #include "pattern/motifs.hpp"
 #include "pattern/queries.hpp"
 #include "util/check.hpp"
@@ -42,8 +43,13 @@ TEST(Motifs, PairwiseNonIsomorphic) {
 
 TEST(Motifs, SortedSparseFirst) {
   auto motifs = connected_motifs(5);
-  for (std::size_t i = 1; i < motifs.size(); ++i)
+  for (std::size_t i = 1; i < motifs.size(); ++i) {
     EXPECT_LE(motifs[i - 1].num_edges(), motifs[i].num_edges());
+    // Ties within one edge count follow the canonical string.
+    if (motifs[i - 1].num_edges() == motifs[i].num_edges()) {
+      EXPECT_LT(canonical_form(motifs[i - 1]), canonical_form(motifs[i])) << i;
+    }
+  }
   EXPECT_EQ(motifs.front().num_edges(), 4u);   // tree
   EXPECT_EQ(motifs.back().num_edges(), 10u);   // K5
 }

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -436,6 +437,12 @@ std::vector<Embedding> reference_embeddings(GraphView g, const Pattern& p) {
   return ref;
 }
 
+/// The delivered fields of an update (delta_ms is wall time, not a result).
+std::tuple<std::uint64_t, std::uint64_t, std::int64_t, std::uint64_t> fields(
+    const StandingQueryUpdate& u) {
+  return {u.query_id, u.epoch, u.delta, u.count};
+}
+
 TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
   const Graph base = make_erdos_renyi(32, 0.14, 13);
   GraphSession indexed(base, indexed_cfg());
@@ -447,12 +454,20 @@ TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
                                       Pattern::parse(kPath3),
                                       Pattern::parse(kFourClique)};
   std::vector<std::uint64_t> indexed_ids, loop_ids;
+  std::vector<StandingQueryUpdate> indexed_calls, loop_calls;
   for (const Pattern& p : patterns) {
     StandingQueryConfig cfg;
     cfg.pattern = p;
+    cfg.on_update = [&](const StandingQueryUpdate& u) {
+      indexed_calls.push_back(u);
+    };
     indexed_ids.push_back(indexed.register_standing_query(cfg));
+    cfg.on_update = [&](const StandingQueryUpdate& u) {
+      loop_calls.push_back(u);
+    };
     loop_ids.push_back(loop.register_standing_query(cfg));
   }
+  EXPECT_EQ(indexed_ids, loop_ids);
   // Three queries, two canonical groups: the relabeled triangle rode its
   // sibling's baseline and shares the triangle's trie chain.
   EXPECT_EQ(indexed.metrics().gauge("standing_patterns").value(), 3.0);
@@ -463,9 +478,26 @@ TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
             static_cast<double>(st.trie.nodes));
   EXPECT_GT(indexed.metrics().gauge("shared_prefix_ratio").value(), 0.0);
 
+  // Both modes run one delivery loop: identical outcomes, subscriber call
+  // sequences, info records and gauges, across an unregistration mid-run.
+  constexpr std::size_t kDropped = 2;  // the path
+  std::vector<bool> live(patterns.size(), true);
   Rng rng(606);
   int applied = 0;
   for (int b = 0; b < 6; ++b) {
+    if (b == 3) {
+      EXPECT_TRUE(indexed.unregister_standing_query(indexed_ids[kDropped]));
+      EXPECT_TRUE(loop.unregister_standing_query(loop_ids[kDropped]));
+      live[kDropped] = false;
+      EXPECT_EQ(indexed.metrics().gauge("standing_patterns").value(), 2.0);
+    }
+    const auto num_live =
+        static_cast<std::size_t>(std::count(live.begin(), live.end(), true));
+    EXPECT_EQ(indexed.metrics().gauge("standing_queries").value(),
+              static_cast<double>(num_live));
+    EXPECT_EQ(loop.metrics().gauge("standing_queries").value(),
+              static_cast<double>(num_live));
+
     const UpdateBatch batch = random_batch(*indexed.snapshot(), rng, 5);
     const UpdateOutcome oi = indexed.apply_updates(batch);
     const UpdateOutcome ol = loop.apply_updates(batch);
@@ -473,18 +505,32 @@ TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
     ASSERT_TRUE(ol.ok());
     if (oi.applied.empty()) continue;
     ++applied;
-    ASSERT_EQ(oi.updates.size(), patterns.size());
+    ASSERT_EQ(oi.updates.size(), num_live);
+    ASSERT_EQ(ol.updates.size(), num_live);
+    for (std::size_t k = 0; k < num_live; ++k) {
+      EXPECT_EQ(fields(oi.updates[k]), fields(ol.updates[k]))
+          << "update " << k << " batch " << b;
+      EXPECT_EQ(oi.updates[k].epoch, oi.epoch);
+    }
     for (std::size_t i = 0; i < patterns.size(); ++i) {
       const auto ii = indexed.standing_query(indexed_ids[i]);
       const auto li = loop.standing_query(loop_ids[i]);
-      ASSERT_TRUE(ii.has_value() && li.has_value());
+      ASSERT_EQ(ii.has_value(), live[i]);
+      ASSERT_EQ(li.has_value(), live[i]);
+      if (!live[i]) continue;
       EXPECT_EQ(ii->count, li->count)
           << "indexed vs per-pattern, pattern " << i << " batch " << b;
+      EXPECT_EQ(ii->epoch, li->epoch);
+      EXPECT_EQ(ii->batches_observed, li->batches_observed);
       EXPECT_EQ(ii->count, reference_count(indexed.snapshot()->view(),
                                            patterns[i], {}));
     }
   }
   ASSERT_GT(applied, 0);
+  ASSERT_EQ(indexed_calls.size(), loop_calls.size());
+  for (std::size_t k = 0; k < indexed_calls.size(); ++k) {
+    EXPECT_EQ(fields(indexed_calls[k]), fields(loop_calls[k])) << "call " << k;
+  }
   EXPECT_EQ(indexed.metrics()
                 .histogram("indexed_delta_latency_ms")
                 .snapshot()
@@ -492,9 +538,10 @@ TEST(MqoSession, IndexedSessionMatchesPerPatternSession) {
             static_cast<std::uint64_t>(applied));
 
   // Unregistering everything drains the trie and the gauges.
-  for (const std::uint64_t id : indexed_ids) {
-    EXPECT_TRUE(indexed.unregister_standing_query(id));
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    EXPECT_EQ(indexed.unregister_standing_query(indexed_ids[i]), live[i]);
   }
+  EXPECT_EQ(indexed.metrics().gauge("standing_queries").value(), 0.0);
   EXPECT_EQ(indexed.metrics().gauge("standing_patterns").value(), 0.0);
   EXPECT_EQ(indexed.metrics().gauge("trie_nodes").value(), 0.0);
   EXPECT_EQ(indexed.standing_index_stats().trie.nodes, 0u);

@@ -2,6 +2,8 @@
 // well-formedness, label-mask merging, compact encoding.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pattern/matching_order.hpp"
 #include "pattern/plan.hpp"
 #include "pattern/queries.hpp"
@@ -232,6 +234,43 @@ TEST(Plan, SymmetryConstraintsOnlyInUniqueMode) {
   // K5: constraints form a total order -> level l has l smaller-side checks.
   for (std::size_t l = 1; l < unique.size(); ++l)
     EXPECT_EQ(unique.constraints_at(l).size(), l);
+}
+
+TEST(Plan, CarriedSetsFollowTheStealRule) {
+  // A piece split off at level t carries exactly the nodes materialized by
+  // t that a level >= t still reads: as the candidate set of a level
+  // >= max(t, 1) or as the dep of a node materialized after t. Ids ascend.
+  for (int q = 1; q <= num_queries(); ++q) {
+    for (bool motion : {true, false}) {
+      for (Induced induced : {Induced::kEdge, Induced::kVertex}) {
+        const MatchingPlan plan =
+            make_plan(query(q), {induced, motion, CountMode::kEmbeddings});
+        const auto& nodes = plan.nodes();
+        EXPECT_TRUE(plan.carried(0).empty()) << query_name(q);
+        for (std::size_t t = 1; t < plan.size(); ++t) {
+          std::vector<std::int16_t> expected;
+          for (std::size_t i = 0; i < nodes.size(); ++i) {
+            if (nodes[i].mat_level > t) continue;
+            const auto id = static_cast<std::int16_t>(i);
+            bool read = false;
+            for (std::size_t l = t; l < plan.size(); ++l)
+              read |= plan.candidate_node(l) == id;
+            for (const SetNode& n : nodes)
+              read |= n.dep == id && n.mat_level > t;
+            if (read) expected.push_back(id);
+          }
+          EXPECT_EQ(plan.carried(t), expected)
+              << query_name(q) << " level " << t << " motion " << motion;
+        }
+      }
+    }
+  }
+  // Triangle: N(v0) is level 1's candidate and level 2's dep; level 2
+  // carries only its own candidate N(v0) & N(v1).
+  const MatchingPlan tri = make_plan(Pattern::parse("0-1,1-2,2-0"));
+  ASSERT_EQ(tri.num_nodes(), 2u);
+  EXPECT_EQ(tri.carried(1), (std::vector<std::int16_t>{0}));
+  EXPECT_EQ(tri.carried(2), (std::vector<std::int16_t>{1}));
 }
 
 TEST(Plan, TooSmallPatternRejected) {
