@@ -37,7 +37,7 @@ void run_sharded(benchmark::State& state, const Graph& g,
   pcfg.strategy = strategy;
   const Pattern triangle(3, {{0, 1}, {1, 2}, {0, 2}});
   dist::ShardedOptions opts;
-  opts.local_engine = dist::LocalEngine::kHost;
+  opts.local_engine = EngineKind::kHost;
 
   std::uint64_t count = 0;
   double imbalance = 1.0;

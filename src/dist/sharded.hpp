@@ -39,6 +39,7 @@
 #include "core/fault.hpp"
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
+#include "core/run.hpp"
 #include "dist/partition.hpp"
 #include "dynamic/incremental.hpp"
 #include "pattern/pattern.hpp"
@@ -46,25 +47,16 @@
 
 namespace stm::dist {
 
-/// Engine executing the shard-local enumerations (anchored cut-edge runs
-/// use DeltaEngine from dynamic/incremental.hpp).
-enum class LocalEngine : std::uint8_t {
-  kHost = 0,   // host-parallel engine (production CPU path)
-  kSimt,       // simulated-GPU stack engine
-  kRecursive,  // sequential recursive executor
-  kReference,  // brute-force baseline (tests)
-};
-
-const char* to_string(LocalEngine e);
-
 struct ShardedOptions {
   /// Matching semantics. induced must be kEdge when the partition has more
   /// than one shard.
   PlanOptions plan;
-  LocalEngine local_engine = LocalEngine::kHost;
+  /// Engine of the shard-local enumerations.
+  EngineKind local_engine = EngineKind::kHost;
   /// Engine of the anchored cut-edge enumerations.
   DeltaEngine anchor_engine = DeltaEngine::kHost;
-  /// Inner-engine configurations (v-range/pin fields are overwritten).
+  /// Inner-engine configurations (the SIMT v-range/pin fields are
+  /// overwritten).
   HostEngineConfig host;
   EngineConfig simt;
   /// Scheduler workers (0 = one per shard).

@@ -6,24 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/reference.hpp"
-#include "core/engine.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace stm {
-
-const char* to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSimt:
-      return "simt";
-    case EngineKind::kHost:
-      return "host";
-    case EngineKind::kReference:
-      return "reference";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -54,6 +40,7 @@ struct GraphSession::QueryJob {
   QueryRequest req;
   std::promise<QueryResult> promise;
   std::shared_ptr<CancelToken> token;
+  double deadline_ms = 0.0;  // effective budget (effective_deadline_ms)
   Timer since_submit;  // started at submission; queue wait + total latency
 };
 
@@ -364,9 +351,8 @@ std::future<QueryResult> GraphSession::submit(QueryRequest req) {
 
   // The deadline covers the query's whole life, queue wait included: a
   // request that waits past its budget is interrupted as soon as it starts.
-  double deadline = job->req.deadline_ms;
-  if (deadline == 0.0) deadline = cfg_.default_deadline_ms;
-  if (deadline > 0.0) job->token->set_deadline_ms(deadline);
+  job->deadline_ms = effective_deadline_ms(job->req.deadline_ms);
+  if (job->deadline_ms > 0.0) job->token->set_deadline_ms(job->deadline_ms);
 
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
@@ -386,10 +372,7 @@ std::future<QueryResult> GraphSession::submit(QueryRequest req) {
     rejected.stats.status = QueryStatus::kOverloaded;
     rejected.served_by = job->req.engine;
     rejected.attempts = 0;
-    rejected.error = "admission rejected: " +
-                     std::to_string(admission_.num_workers()) + " running + " +
-                     std::to_string(admission_.max_queue()) +
-                     " queued slots are full";
+    rejected.error = admission_rejection();
     rejected.total_ms = job->since_submit.elapsed_ms();
     job->promise.set_value(std::move(rejected));
     return future;
@@ -397,6 +380,57 @@ std::future<QueryResult> GraphSession::submit(QueryRequest req) {
   queries_admitted_.inc();
   queue_depth_.set(static_cast<double>(admission_.queue_depth()));
   return future;
+}
+
+GraphSession::Failure GraphSession::escaped_failure(
+    const std::string& context) {
+  try {
+    throw;
+  } catch (const check_error& e) {
+    // Precondition violation: the request (not the engine) is at fault.
+    return {QueryStatus::kInvalidArgument, e.what()};
+  } catch (const std::exception& e) {
+    return {QueryStatus::kInternalError, context + ": " + e.what()};
+  } catch (...) {
+    return {QueryStatus::kInternalError, context + ": non-standard exception"};
+  }
+}
+
+std::string GraphSession::failure_detail(const QueryResult& r,
+                                         double deadline_ms, bool stream) {
+  const std::string partial =
+      stream ? " (the delivered embeddings are a valid prefix of the stream)"
+             : " (count is partial)";
+  const std::string subject = stream ? "stream" : "query";
+  switch (r.status) {
+    case QueryStatus::kDeadlineExceeded:
+      return "deadline of " + std::to_string(deadline_ms) + " ms exhausted" +
+             partial;
+    case QueryStatus::kCancelled:
+      return subject + " cancelled" + partial;
+    case QueryStatus::kInternalError:
+      return subject + " execution failed after " +
+             std::to_string(r.attempts) +
+             " attempt(s); recovery budget exhausted or progress stalled" +
+             partial;
+    default:
+      return subject + " failed: " + to_string(r.status);
+  }
+}
+
+std::string GraphSession::admission_rejection() const {
+  return "admission rejected: " + std::to_string(admission_.num_workers()) +
+         " running + " + std::to_string(admission_.max_queue()) +
+         " queued slots are full";
+}
+
+HostEngineConfig GraphSession::host_config(
+    const HostEngineConfig& requested) const {
+  HostEngineConfig host = requested;
+  if (host.num_threads == 0) {
+    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
+  }
+  return host;
 }
 
 QueryResult GraphSession::run(QueryRequest req) {
@@ -436,8 +470,7 @@ std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
   }
   dist::ShardedOptions opts;
   opts.plan = req.plan;
-  opts.local_engine = kind == EngineKind::kSimt ? dist::LocalEngine::kSimt
-                                                : dist::LocalEngine::kHost;
+  opts.local_engine = kind;
   opts.anchor_engine =
       kind == EngineKind::kSimt ? DeltaEngine::kSimt : DeltaEngine::kHost;
   // One engine thread per scheduler unit: cross-shard parallelism comes from
@@ -569,40 +602,11 @@ QueryResult GraphSession::execute_engine(EngineKind kind,
       return result;
     }
   }
-  const GraphView g = snap.view();
-  switch (kind) {
-    case EngineKind::kSimt: {
-      MatchResult r = stmatch_match(g, plan, req.simt, &token);
-      result.count = r.count;
-      result.stats = r.query;
-      // Simulated engine time is not wall time; report wall latency fields
-      // from the service clocks below, but keep the engine's own view here.
-      break;
-    }
-    case EngineKind::kHost: {
-      HostEngineConfig host = req.host;
-      if (host.num_threads == 0) {
-        host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-      }
-      HostMatchResult r = host_match(g, plan, host, &token);
-      result.count = r.count;
-      result.stats = r.stats;
-      break;
-    }
-    case EngineKind::kReference: {
-      // Last-resort path: shares no candidate-set machinery with the
-      // optimized engines, so faults rooted there cannot follow us here.
-      ReferenceOptions opts;
-      opts.induced = req.plan.induced;
-      opts.count_mode = req.plan.count_mode;
-      Timer engine_timer;
-      result.count = reference_count(g, req.pattern, opts, &token);
-      result.stats.engine_ms = engine_timer.elapsed_ms();
-      if (token.expired()) result.stats.status = token.status();
-      break;
-    }
-  }
-  result.status = result.stats.status;
+  const EngineRun r = run_engine(kind, snap.view(), req.pattern, plan,
+                                 host_config(req.host), req.simt, &token);
+  result.count = r.count;
+  result.stats = r.stats;
+  result.status = r.stats.status;
   return result;
 }
 
@@ -620,23 +624,14 @@ QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
     attempt_req.simt.fault.incarnation = req.simt.fault.incarnation + attempt;
     attempt_req.host.fault.incarnation = req.host.fault.incarnation + attempt;
     result = execute_engine(kind, attempt_req, plan, snap, token, attempt);
-  } catch (const check_error& e) {
-    // Precondition violation: the query (not the engine) is at fault.
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInvalidArgument;
-    result.error = e.what();
-  } catch (const std::exception& e) {
+  } catch (...) {
     // Engine-call boundary (DESIGN.md §9): a throwing engine must not take
     // down the dispatcher thread or strand the admission slot.
+    Failure failure =
+        escaped_failure(std::string("engine ") + to_string(kind) + " threw");
     result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("engine ") + to_string(kind) +
-                   " threw: " + e.what();
-  } catch (...) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("engine ") + to_string(kind) +
-                   " threw a non-standard exception";
+    result.status = result.stats.status = failure.status;
+    result.error = std::move(failure.error);
   }
   return result;
 }
@@ -762,47 +757,19 @@ void GraphSession::execute(QueryJob& job) {
       result.graph_epoch = snap->epoch();
     }
     cache_hit_rate_.set(plan_cache_.stats().hit_rate());
-  } catch (const check_error& e) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInvalidArgument;
-    result.error = e.what();
-  } catch (const std::exception& e) {
+  } catch (...) {
     // Last line of defense (DESIGN.md §9): nothing may escape into the
     // dispatcher pool, where it would std::terminate the process.
+    Failure failure = escaped_failure("query execution threw");
     result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = std::string("query execution threw: ") + e.what();
-  } catch (...) {
-    result = QueryResult{};
-    result.status = result.stats.status = QueryStatus::kInternalError;
-    result.error = "query execution threw a non-standard exception";
+    result.status = result.stats.status = failure.status;
+    result.error = std::move(failure.error);
   }
   watchdog_.unwatch(job.token);
 
+  // Every non-kOk result carries a human-readable detail string.
   if (!result.ok() && result.error.empty()) {
-    // Satellite guarantee: every non-kOk result carries a human-readable
-    // detail string.
-    switch (result.status) {
-      case QueryStatus::kDeadlineExceeded: {
-        double budget = job.req.deadline_ms;
-        if (budget == 0.0) budget = cfg_.default_deadline_ms;
-        result.error = "deadline of " + std::to_string(budget) +
-                       " ms exhausted (count is partial)";
-        break;
-      }
-      case QueryStatus::kCancelled:
-        result.error = "query cancelled (count is partial)";
-        break;
-      case QueryStatus::kInternalError:
-        result.error = "engine execution failed after " +
-                       std::to_string(result.attempts) +
-                       " attempt(s); recovery budget exhausted or progress "
-                       "stalled";
-        break;
-      default:
-        result.error = std::string("query failed: ") + to_string(result.status);
-        break;
-    }
+    result.error = failure_detail(result, job.deadline_ms, /*stream=*/false);
   }
 
   result.queue_ms = queue_ms;
@@ -843,10 +810,7 @@ std::future<UpdateOutcome> GraphSession::submit_updates(UpdateBatch batch) {
     UpdateOutcome rejected;
     rejected.status = QueryStatus::kOverloaded;
     rejected.epoch = dyn_.epoch();
-    rejected.error = "admission rejected: " +
-                     std::to_string(admission_.num_workers()) + " running + " +
-                     std::to_string(admission_.max_queue()) +
-                     " queued slots are full";
+    rejected.error = admission_rejection();
     promise->set_value(std::move(rejected));
   }
   return future;
@@ -886,20 +850,14 @@ UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
     } else {
       applied = dyn_.apply(batch);
     }
-  } catch (const check_error& e) {
+  } catch (...) {
+    // A check_error is an invalid batch; anything else includes
+    // FaultInjectedError (kUpdateApply chaos): the batch validated but its
+    // snapshot was never published. Either way the graph is unchanged.
     updates_failed_.inc();
-    out.status = QueryStatus::kInvalidArgument;
-    out.error = e.what();
-    out.epoch = from->epoch();
-    out.update_ms = total.elapsed_ms();
-    update_latency_ms_.observe(out.update_ms);
-    return out;
-  } catch (const std::exception& e) {
-    // Includes FaultInjectedError (kUpdateApply chaos): the batch validated
-    // but its snapshot was never published, so the graph is unchanged.
-    updates_failed_.inc();
-    out.status = QueryStatus::kInternalError;
-    out.error = std::string("update apply failed: ") + e.what();
+    Failure failure = escaped_failure("update apply failed");
+    out.status = failure.status;
+    out.error = std::move(failure.error);
     out.epoch = from->epoch();
     out.update_ms = total.elapsed_ms();
     update_latency_ms_.observe(out.update_ms);

@@ -47,6 +47,7 @@
 #include "core/fault.hpp"
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
+#include "core/run.hpp"
 #include "dist/partition.hpp"
 #include "dist/sharded.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -70,17 +71,6 @@ class EmbeddingStream;
 struct StreamRequest;
 struct TopKOptions;
 struct TopKResult;
-
-/// Which execution path serves the query. The order doubles as the
-/// degradation order: fallback moves strictly to the right.
-enum class EngineKind : std::uint8_t {
-  kSimt = 0,   // simulated-GPU STMatch engine
-  kHost,       // real threads (production CPU path)
-  kReference,  // single-threaded brute-force enumerator (last resort)
-};
-inline constexpr std::size_t kNumEngineKinds = 3;
-
-const char* to_string(EngineKind kind);
 
 struct QueryRequest {
   Pattern pattern;
@@ -344,8 +334,28 @@ class GraphSession {
   /// registry.
   struct StreamState;
   void execute(QueryJob& job);
-  /// One engine call on `kind`, exceptions contained (check_error →
-  /// kInvalidArgument, anything else → kInternalError).
+
+  /// The one failure path: maps the exception in flight (call from a catch
+  /// block) to check_error → kInvalidArgument with its message (the request
+  /// is at fault), anything else → kInternalError "<context>: <what>".
+  struct Failure {
+    QueryStatus status;
+    std::string error;
+  };
+  static Failure escaped_failure(const std::string& context);
+  /// Detail text for a non-kOk query or stream result that carries none.
+  static std::string failure_detail(const QueryResult& r, double deadline_ms,
+                                    bool stream);
+  /// A request's deadline_ms, or the session default when it asks for 0.
+  double effective_deadline_ms(double requested) const {
+    return requested == 0.0 ? cfg_.default_deadline_ms : requested;
+  }
+  /// Error text of a query or update batch shed at admission.
+  std::string admission_rejection() const;
+  /// `requested` with num_threads = 0 clamped to host_threads_per_query.
+  HostEngineConfig host_config(const HostEngineConfig& requested) const;
+
+  /// One engine call on `kind`, exceptions contained (escaped_failure).
   QueryResult try_engine(EngineKind kind, const QueryRequest& req,
                          const MatchingPlan& plan, const GraphSnapshot& snap,
                          const CancelToken& token, std::uint32_t attempt);
@@ -399,7 +409,7 @@ class GraphSession {
   static void finalize_stream(const std::shared_ptr<StreamState>& st);
   /// Builds a handle whose stream is already terminal (admission rejection,
   /// bad resume token, plan-compilation failure).
-  std::unique_ptr<EmbeddingStream> reject_stream(const StreamRequest& req,
+  std::unique_ptr<EmbeddingStream> reject_stream(EngineKind engine,
                                                  QueryStatus status,
                                                  std::string error);
 

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/host_engine.hpp"
-#include "core/recursive.hpp"
+#include "core/run.hpp"
 #include "pattern/matching_order.hpp"
 #include "stream/emit.hpp"
 #include "stream/sequencer.hpp"
@@ -52,6 +51,8 @@ std::string encode_resume(std::uint64_t epoch, std::uint64_t fp, VertexId v0,
   return os.str();
 }
 
+/// Parses a non-empty digit string; false on a foreign character or a value
+/// that does not fit 64 bits.
 bool parse_u64(const std::string& s, int base, std::uint64_t* out) {
   if (s.empty()) return false;
   std::uint64_t value = 0;
@@ -64,16 +65,21 @@ bool parse_u64(const std::string& s, int base, std::uint64_t* out) {
     } else {
       return false;
     }
-    value = value * static_cast<std::uint64_t>(base) +
-            static_cast<std::uint64_t>(digit);
+    const auto b = static_cast<std::uint64_t>(base);
+    const auto d = static_cast<std::uint64_t>(digit);
+    if (value > (std::numeric_limits<std::uint64_t>::max() - d) / b) {
+      return false;
+    }
+    value = value * b + d;
   }
   *out = value;
   return true;
 }
 
 bool decode_resume(const std::string& token, std::uint64_t epoch,
-                   std::uint64_t fp, VertexId* v0, std::uint64_t* skip,
-                   std::uint64_t* total, std::string* error) {
+                   std::uint64_t fp, VertexId num_vertices, VertexId* v0,
+                   std::uint64_t* skip, std::uint64_t* total,
+                   std::string* error) {
   std::vector<std::string> fields;
   std::string cur;
   for (const char c : token) {
@@ -86,6 +92,13 @@ bool decode_resume(const std::string& token, std::uint64_t epoch,
   }
   fields.push_back(cur);
 
+  const auto malformed = [&] {
+    *error =
+        "malformed resume token: expected "
+        "\"stm1.<epoch>.<fingerprint>.<v0>.<skip>.<total>\", got \"" +
+        token + "\"";
+    return false;
+  };
   std::uint64_t tok_epoch = 0, tok_fp = 0, tok_v0 = 0;
   if (fields.size() != 6 || fields[0] != "stm1" ||
       !parse_u64(fields[1], 10, &tok_epoch) ||
@@ -94,11 +107,7 @@ bool decode_resume(const std::string& token, std::uint64_t epoch,
       !parse_u64(fields[5], 10, total)) {
     // A parse failure means the caller corrupted the token; stale tokens
     // (below) parse fine and get a diagnosable expected-vs-observed error.
-    *error =
-        "malformed resume token: expected "
-        "\"stm1.<epoch>.<fingerprint>.<v0>.<skip>.<total>\", got \"" +
-        token + "\"";
-    return false;
+    return malformed();
   }
   if (tok_fp != fp) {
     std::ostringstream os;
@@ -116,43 +125,10 @@ bool decode_resume(const std::string& token, std::uint64_t epoch,
     *error = os.str();
     return false;
   }
+  // A token of this epoch points inside its graph unless it was corrupted.
+  if (tok_v0 >= num_vertices) return malformed();
   *v0 = static_cast<VertexId>(tok_v0);
   return true;
-}
-
-/// The stream's reference lane: the sequential recursive executor, one
-/// bucket per outer-loop vertex, posted in order. Shares the plan (hence
-/// the order) with the optimized engines but none of their scheduling — the
-/// oracle compares the engines' drained streams against this one.
-QueryStatus run_reference_stream(GraphView g, const MatchingPlan& plan,
-                                 VertexId start, const CancelToken& token,
-                                 stream::EmitPipeline& pipe,
-                                 QueryStats* stats) {
-  const VertexId n = g.num_vertices();
-  const VertexId begin = std::min(start, n);
-  pipe.begin(n - begin);
-  RecursiveCounters counters;
-  Timer engine_timer;
-  std::vector<Embedding> staged;
-  for (VertexId v0 = begin; v0 < n; ++v0) {
-    staged.clear();
-    recursive_enumerate_range(
-        g, plan, v0, v0 + 1,
-        [&staged](const std::vector<VertexId>& m) {
-          staged.push_back(m);
-          return true;
-        },
-        &counters, &token);
-    // A fired token may have cut the bucket short; an incomplete bucket is
-    // never posted (the stream ends at the previous, complete one).
-    if (token.expired()) break;
-    if (!pipe.post(v0 - begin, std::move(staged))) break;
-    staged = {};
-  }
-  stats->engine_ms = engine_timer.elapsed_ms();
-  stats->scalar_ops = counters.scalar_ops;
-  stats->sets_built = counters.sets_built;
-  return token.expired() ? token.status() : QueryStatus::kOk;
 }
 
 }  // namespace
@@ -165,6 +141,7 @@ struct GraphSession::StreamState {
   QueryRequest req;
   StreamOptions opts;
   std::shared_ptr<CancelToken> token;
+  double deadline_ms = 0.0;  // effective budget (effective_deadline_ms)
   std::shared_ptr<const GraphSnapshot> snap;
   std::shared_ptr<const MatchingPlan> plan;
   /// matching_order(pattern): original vertex at plan position i.
@@ -204,18 +181,18 @@ struct GraphSession::StreamState {
 };
 
 std::unique_ptr<EmbeddingStream> GraphSession::reject_stream(
-    const StreamRequest& req, QueryStatus status, std::string error) {
+    EngineKind engine, QueryStatus status, std::string error) {
   (status == QueryStatus::kOverloaded ? queries_rejected_ : queries_failed_)
       .inc();
   auto token = std::make_shared<CancelToken>();
   auto st = std::make_shared<StreamState>(stream::SequencerConfig{},
                                           token.get());
   st->token = std::move(token);
-  st->req.engine = req.query.engine;
+  st->req.engine = engine;
   st->seq.abort(status, error);
   QueryResult r;
   r.status = r.stats.status = status;
-  r.served_by = req.query.engine;
+  r.served_by = engine;
   r.attempts = 0;
   r.error = std::move(error);
   st->result = std::move(r);
@@ -231,7 +208,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   if (req.query.host.v_begin != 0 || sc.v_begin != 0 || sc.v_end != 0 ||
       sc.v_stride != 1 || sc.pin_v1 != kNoVertex) {
     return reject_stream(
-        req, QueryStatus::kInvalidArgument,
+        req.query.engine, QueryStatus::kInvalidArgument,
         "stream requests must leave the engine outer-loop range knobs "
         "(host.v_begin, simt.v_begin/v_end/v_stride/pin_v1) at their "
         "defaults; the stream cursor owns them");
@@ -245,9 +222,11 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   std::uint64_t resumed_total = 0;
   if (!req.stream.resume_token.empty()) {
     std::string err;
-    if (!decode_resume(req.stream.resume_token, snap->epoch(), fp, &start_v0,
-                       &skip, &resumed_total, &err)) {
-      return reject_stream(req, QueryStatus::kInvalidArgument, std::move(err));
+    if (!decode_resume(req.stream.resume_token, snap->epoch(), fp,
+                       snap->num_vertices(), &start_v0, &skip, &resumed_total,
+                       &err)) {
+      return reject_stream(req.query.engine, QueryStatus::kInvalidArgument,
+                           std::move(err));
     }
   }
 
@@ -257,12 +236,12 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
     plan = plan_cache_.get_or_compile(req.query.pattern, req.query.plan,
                                       snap->epoch(), &cache_hit);
   } catch (const check_error& e) {
-    return reject_stream(req, QueryStatus::kInvalidArgument, e.what());
+    return reject_stream(req.query.engine, QueryStatus::kInvalidArgument,
+                         e.what());
   }
 
   auto token = std::make_shared<CancelToken>();
-  double deadline = req.query.deadline_ms;
-  if (deadline == 0.0) deadline = cfg_.default_deadline_ms;
+  const double deadline = effective_deadline_ms(req.query.deadline_ms);
   if (deadline > 0.0) token->set_deadline_ms(deadline);
 
   stream::SequencerConfig seq_cfg;
@@ -272,6 +251,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   st->req = std::move(req.query);
   st->opts = std::move(req.stream);
   st->token = std::move(token);
+  st->deadline_ms = deadline;
   st->snap = snap;
   st->plan = std::move(plan);
   st->plan_cache_hit = cache_hit;
@@ -288,17 +268,13 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   {
     std::lock_guard<std::mutex> lock(streams_mu_);
     if (shutting_down_) {
-      StreamRequest rejected;
-      rejected.query.engine = st->req.engine;
-      return reject_stream(rejected, QueryStatus::kCancelled,
+      return reject_stream(st->req.engine, QueryStatus::kCancelled,
                            "stream rejected: the session is shutting down");
     }
     if (cfg_.max_open_streams > 0 &&
         live_streams_.size() >= cfg_.max_open_streams) {
-      StreamRequest rejected;
-      rejected.query.engine = st->req.engine;
       return reject_stream(
-          rejected, QueryStatus::kOverloaded,
+          st->req.engine, QueryStatus::kOverloaded,
           "stream admission rejected: " + std::to_string(live_streams_.size()) +
               " of " + std::to_string(cfg_.max_open_streams) +
               " stream slots are open");
@@ -318,66 +294,35 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
 
 void GraphSession::run_stream(const std::shared_ptr<StreamState>& st) {
   QueryStats stats;
-  QueryStatus status = QueryStatus::kOk;
   std::string error;
   try {
     // Streams are long-lived engine runs over a pinned snapshot; the lease
     // keeps the backend's decoded lists stable until the producer exits.
     const auto storage_lease = st->snap->storage_lease();
-    const GraphView g = st->snap->view();
-    switch (st->req.engine) {
-      case EngineKind::kHost: {
-        HostEngineConfig host = st->req.host;
-        if (host.num_threads == 0) {
-          host.num_threads =
-              std::max<std::size_t>(1, cfg_.host_threads_per_query);
-        }
-        host.v_begin = st->start_v0;
-        const HostMatchResult r =
-            host_match(g, *st->plan, host, st->token.get(), st->pipe.get());
-        stats = r.stats;
-        status = r.stats.status;
-        break;
-      }
-      case EngineKind::kSimt: {
-        EngineConfig simt = st->req.simt;
-        simt.v_begin = st->start_v0;
-        const MatchResult r = stmatch_match(g, *st->plan, simt,
-                                            st->token.get(), st->pipe.get());
-        stats = r.query;
-        status = r.query.status;
-        break;
-      }
-      case EngineKind::kReference: {
-        status = run_reference_stream(g, *st->plan, st->start_v0, *st->token,
-                                      *st->pipe, &stats);
-        break;
-      }
-    }
-  } catch (const check_error& e) {
-    status = QueryStatus::kInvalidArgument;
-    error = e.what();
-  } catch (const std::exception& e) {
-    status = QueryStatus::kInternalError;
-    error = std::string("stream engine ") + to_string(st->req.engine) +
-            " threw: " + e.what();
+    HostEngineConfig host = host_config(st->req.host);
+    host.v_begin = st->start_v0;
+    EngineConfig simt = st->req.simt;
+    simt.v_begin = st->start_v0;
+    stats = run_engine(st->req.engine, st->snap->view(), st->req.pattern,
+                       *st->plan, host, simt, st->token.get(), st->pipe.get())
+                .stats;
   } catch (...) {
-    status = QueryStatus::kInternalError;
-    error = std::string("stream engine ") + to_string(st->req.engine) +
-            " threw a non-standard exception";
+    Failure failure = escaped_failure(std::string("stream engine ") +
+                                      to_string(st->req.engine) + " threw");
+    stats.status = failure.status;
+    error = std::move(failure.error);
   }
   if (st->pipe->failed()) {
     // kEmitDrop budget exhausted: the pipeline already aborted the sequencer
     // with kInternalError; mirror it in the engine-side outcome.
-    status = QueryStatus::kInternalError;
+    stats.status = QueryStatus::kInternalError;
     error = st->pipe->error();
   }
-  stats.status = status;
   {
     std::lock_guard<std::mutex> lock(st->mu);
     st->engine_stats = stats;
   }
-  st->seq.finish(status, std::move(error));
+  st->seq.finish(stats.status, std::move(error));
 }
 
 void GraphSession::finalize_stream(const std::shared_ptr<StreamState>& st) {
@@ -428,30 +373,7 @@ void GraphSession::finalize_stream(const std::shared_ptr<StreamState>& st) {
       // Every non-kOk stream result carries a detail string — including a
       // stream cancelled between admission and its first emission, whose
       // sequencer never saw a terminal message.
-      switch (r.status) {
-        case QueryStatus::kDeadlineExceeded: {
-          double budget = st->req.deadline_ms;
-          if (budget == 0.0 && st->session != nullptr) {
-            budget = st->session->cfg_.default_deadline_ms;
-          }
-          r.error = "deadline of " + std::to_string(budget) +
-                    " ms exhausted (the delivered embeddings are a valid "
-                    "prefix of the stream)";
-          break;
-        }
-        case QueryStatus::kCancelled:
-          r.error =
-              "stream cancelled (the delivered embeddings are a valid "
-              "prefix of the stream)";
-          break;
-        case QueryStatus::kInternalError:
-          r.error = "stream execution failed; the delivered embeddings are "
-                    "a valid prefix of the stream";
-          break;
-        default:
-          r.error = std::string("stream failed: ") + to_string(r.status);
-          break;
-      }
+      r.error = failure_detail(r, st->deadline_ms, /*stream=*/true);
     }
     st->result = std::move(r);
     st->finalized.store(true, std::memory_order_release);

@@ -454,7 +454,7 @@ OracleReport run_oracle(const TestCase& c, const OracleOptions& opts) {
     const dist::ShardedOptions sharded_opts = [&] {
       dist::ShardedOptions o;
       o.plan = c.plan;
-      o.local_engine = dist::LocalEngine::kHost;
+      o.local_engine = ::stm::EngineKind::kHost;
       o.host = c.host;
       return o;
     }();

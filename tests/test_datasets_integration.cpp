@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/reference.hpp"
+#include "components.hpp"
 #include "core/engine.hpp"
 #include "core/host_engine.hpp"
-#include "graph/components.hpp"
 #include "graph/datasets.hpp"
 #include "pattern/matching_order.hpp"
 #include "pattern/queries.hpp"

@@ -130,7 +130,7 @@ TEST(ShardedDifferential, SimtLocalAndAnchorEngines) {
   const std::uint64_t expected = reference(g, triangle);
   for (std::uint32_t shards : {1u, 4u}) {
     dist::ShardedOptions opts;
-    opts.local_engine = dist::LocalEngine::kSimt;
+    opts.local_engine = EngineKind::kSimt;
     opts.anchor_engine = DeltaEngine::kSimt;
     const dist::ShardedResult r = dist::sharded_match(
         g, triangle, pconfig(shards, PartitionStrategy::kDegreeBalanced),
@@ -144,14 +144,15 @@ TEST(ShardedDifferential, RecursiveAndReferenceLocalEngines) {
   const Graph g = make_erdos_renyi(24, 0.2, 15);
   const Pattern wedge(3, {{0, 1}, {1, 2}});
   const std::uint64_t expected = reference(g, wedge);
-  for (dist::LocalEngine engine :
-       {dist::LocalEngine::kRecursive, dist::LocalEngine::kReference}) {
+  // kHost on one thread runs the sequential recursive executor.
+  for (EngineKind engine : {EngineKind::kHost, EngineKind::kReference}) {
     dist::ShardedOptions opts;
     opts.local_engine = engine;
+    opts.host.num_threads = 1;
     const dist::ShardedResult r = dist::sharded_match(
         g, wedge, pconfig(4, PartitionStrategy::kHash), opts);
     ASSERT_EQ(r.status, QueryStatus::kOk) << r.error;
-    EXPECT_EQ(r.count, expected) << dist::to_string(engine);
+    EXPECT_EQ(r.count, expected) << to_string(engine);
   }
 }
 

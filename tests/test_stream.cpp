@@ -279,13 +279,42 @@ TEST(StreamCursor, TokenForADifferentPatternIsRejected) {
 
 TEST(StreamCursor, MalformedTokensAreRejected) {
   GraphSession session(make_clique(6));
-  for (const char* bad : {"garbage", "stm1.0.zz", "stm2.0.0.0.0.0"}) {
+  // A real page token with its v0 field (the 4th) replaced: a value that
+  // does not fit VertexId, one that overflows 64 bits (it would wrap to a
+  // valid vertex), and the first vertex outside the graph.
+  StreamRequest page = stream_request(triangle());
+  page.stream.limit = 3;
+  QueryResult r;
+  std::string token;
+  drain(session, page, &r, &token);
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  std::vector<std::string> fields;
+  for (std::size_t begin = 0;;) {
+    const std::size_t dot = token.find('.', begin);
+    fields.push_back(token.substr(begin, dot - begin));
+    if (dot == std::string::npos) break;
+    begin = dot + 1;
+  }
+  ASSERT_EQ(fields.size(), 6u) << token;
+  const auto with_v0 = [&fields](const std::string& v0) {
+    std::string out;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) out += '.';
+      out += i == 3 ? v0 : fields[i];
+    }
+    return out;
+  };
+  const std::vector<std::string> bad = {
+      "garbage", "stm1.0.zz", "stm2.0.0.0.0.0", with_v0("4294967296"),
+      with_v0("18446744073709551617"),
+      with_v0(std::to_string(session.snapshot()->num_vertices()))};
+  for (const std::string& token_text : bad) {
     StreamRequest req = stream_request(triangle());
-    req.stream.resume_token = bad;
-    QueryResult r;
+    req.stream.resume_token = token_text;
     drain(session, req, &r);
-    EXPECT_EQ(r.status, QueryStatus::kInvalidArgument) << bad;
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_EQ(r.status, QueryStatus::kInvalidArgument) << token_text;
+    EXPECT_NE(r.error.find("malformed resume token"), std::string::npos)
+        << token_text << ": " << r.error;
   }
 }
 

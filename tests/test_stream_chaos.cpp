@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/reference.hpp"
 #include "core/fault.hpp"
 #include "graph/generators.hpp"
 #include "pattern/pattern.hpp"
@@ -120,6 +121,32 @@ TEST(StreamChaos, AttemptBudgetExhaustionFailsTheStream) {
   EXPECT_FALSE(r.error.empty());
   EXPECT_TRUE(got.empty()) << "every delivery was dropped; nothing can have "
                               "reached the consumer";
+}
+
+TEST(StreamChaos, EngineThrowFailsTheStreamAndFreesItsSlot) {
+  GraphSession session(make_erdos_renyi(40, 0.2, 29));
+  MetricsRegistry& m = session.metrics();
+  for (const EngineKind engine : {EngineKind::kHost, EngineKind::kSimt}) {
+    StreamRequest req = stream_request(triangle(), engine);
+    req.query.host.fault.set_rate(FaultSite::kEngineThrow, 1.0);
+    req.query.simt.fault.set_rate(FaultSite::kEngineThrow, 1.0);
+    const std::uint64_t failed_before = m.counter("queries_failed").value();
+    QueryResult r;
+    const std::vector<Embedding> got = drain(session, req, &r);
+    EXPECT_TRUE(got.empty()) << to_string(engine);
+    EXPECT_EQ(r.status, QueryStatus::kInternalError) << to_string(engine);
+    EXPECT_FALSE(r.error.empty()) << to_string(engine);
+    EXPECT_EQ(m.gauge("open_streams").value(), 0.0) << to_string(engine);
+    EXPECT_EQ(m.counter("queries_failed").value(), failed_before + 1)
+        << to_string(engine);
+  }
+  // The producer's failure is contained: the session keeps serving streams.
+  QueryResult r;
+  const std::vector<Embedding> got =
+      drain(session, stream_request(triangle(), EngineKind::kHost), &r);
+  EXPECT_EQ(r.status, QueryStatus::kOk) << r.error;
+  EXPECT_EQ(got.size(), reference_count(session.graph(), triangle()));
+  EXPECT_EQ(r.count, got.size());
 }
 
 TEST(StreamChaos, CursorPagesSurviveEmitDrops) {
