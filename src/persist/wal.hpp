@@ -14,7 +14,7 @@
 //   kUnregisterStanding a standing-query removal by id
 //
 // Records are appended and fsynced *before* the corresponding mutation is
-// acknowledged (the write-ahead discipline; see GraphSession::do_apply).
+// acknowledged (the write-ahead discipline; see UpdatePath::apply).
 // The reader accepts any prefix of frames and stops at the first torn or
 // garbled frame — a crash mid-append loses at most the unacknowledged
 // record, never an acknowledged one.

@@ -5,8 +5,15 @@
 namespace stm {
 
 AdmissionController::AdmissionController(std::size_t num_workers,
-                                         std::size_t max_queue)
-    : pool_(num_workers), max_queue_(max_queue) {}
+                                         std::size_t max_queue,
+                                         const FaultConfig& pool_fault)
+    : pool_(num_workers), max_queue_(max_queue) {
+  if (pool_fault.enabled()) {
+    STM_CHECK(pool_fault.max_unit_attempts >= 1);
+    injector_.emplace(pool_fault);
+    pool_.set_fault_injection(&*injector_, pool_fault.max_unit_attempts);
+  }
+}
 
 bool AdmissionController::admit(QueryPriority priority,
                                 std::function<void()> job) {
@@ -50,6 +57,12 @@ std::size_t AdmissionController::queue_depth() const {
 std::size_t AdmissionController::inflight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return running_;
+}
+
+std::string AdmissionController::rejection() const {
+  return "admission rejected: " + std::to_string(num_workers()) +
+         " running + " + std::to_string(max_queue_) +
+         " queued slots are full";
 }
 
 }  // namespace stm

@@ -12,6 +12,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 
 #include "util/thread_pool.hpp"
 
@@ -23,7 +25,10 @@ inline constexpr std::size_t kNumPriorities = 3;
 class AdmissionController {
  public:
   /// `num_workers` queries run concurrently; up to `max_queue` more wait.
-  AdmissionController(std::size_t num_workers, std::size_t max_queue);
+  /// An enabled `pool_fault` injects chaos at kPoolTask (bounded task
+  /// requeue; no admitted job is ever lost).
+  AdmissionController(std::size_t num_workers, std::size_t max_queue,
+                      const FaultConfig& pool_fault = {});
 
   /// Tries to enqueue `job`. Returns false (job not consumed, never run)
   /// when the system is full — more than num_workers + max_queue jobs
@@ -41,12 +46,8 @@ class AdmissionController {
   std::size_t queue_depth() const;
   /// Jobs currently executing.
   std::size_t inflight() const;
-
-  /// Forwards to ThreadPool::set_fault_injection (chaos at kPoolTask:
-  /// bounded dispatcher-task requeue; no admitted job is ever lost).
-  void set_fault_injection(FaultInjector* injector, std::uint32_t max_requeues) {
-    pool_.set_fault_injection(injector, max_requeues);
-  }
+  /// Error text of a request shed because admit() returned false.
+  std::string rejection() const;
 
  private:
   /// Runs the highest-priority pending job; one pump task is submitted to
@@ -55,6 +56,7 @@ class AdmissionController {
   /// one whose admission scheduled it.
   void pump();
 
+  std::optional<FaultInjector> injector_;  // outlives pool_
   ThreadPool pool_;
   const std::size_t max_queue_;
   mutable std::mutex mu_;

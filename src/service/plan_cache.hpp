@@ -40,7 +40,8 @@ class PlanCache {
   explicit PlanCache(std::size_t capacity = 64);
 
   /// Returns the cached plan for (pattern, opts), compiling and inserting it
-  /// on a miss. `was_hit` (optional) reports whether compilation was
+  /// on a miss. A plan reads no data graph, so one entry serves every graph
+  /// and every version of a mutable one. `was_hit` (optional) reports whether compilation was
   /// skipped. Thread-safe; compilation runs outside the cache lock, so
   /// concurrent misses on distinct patterns compile in parallel (a racing
   /// duplicate compile of the same pattern is discarded, first insert wins).
@@ -48,18 +49,8 @@ class PlanCache {
                                                      const PlanOptions& opts,
                                                      bool* was_hit = nullptr);
 
-  /// Epoch-keyed variant for sessions over a mutable graph: `epoch` is
-  /// folded into both key tiers, so a plan compiled against one graph
-  /// version is never reused after a mutation (stale entries age out of the
-  /// LRU as the epoch advances). The plain overload is epoch 0.
-  std::shared_ptr<const MatchingPlan> get_or_compile(const Pattern& pattern,
-                                                     const PlanOptions& opts,
-                                                     std::uint64_t epoch,
-                                                     bool* was_hit = nullptr);
-
   PlanCacheStats stats() const;
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
   void clear();
 
  private:

@@ -1,6 +1,9 @@
 #include "service/resilience.hpp"
 
 #include <algorithm>
+#include <exception>
+
+#include "util/check.hpp"
 
 namespace stm {
 
@@ -75,6 +78,19 @@ const char* to_string(CircuitBreaker::State s) {
       return "half_open";
   }
   return "unknown";
+}
+
+Failure escaped_failure(const std::string& context) {
+  try {
+    throw;
+  } catch (const check_error& e) {
+    // Precondition violation: the request (not the engine) is at fault.
+    return {QueryStatus::kInvalidArgument, e.what()};
+  } catch (const std::exception& e) {
+    return {QueryStatus::kInternalError, context + ": " + e.what()};
+  } catch (...) {
+    return {QueryStatus::kInternalError, context + ": non-standard exception"};
+  }
 }
 
 }  // namespace stm

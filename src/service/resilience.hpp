@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "core/fault.hpp"
+#include "core/query_stats.hpp"
 
 namespace stm {
 
@@ -82,5 +84,14 @@ class CircuitBreaker {
 };
 
 const char* to_string(CircuitBreaker::State s);
+
+/// The session's one failure path: maps the exception in flight (call from
+/// a catch block) to check_error → kInvalidArgument with its message (the
+/// request is at fault), anything else → kInternalError "<context>: <what>".
+struct Failure {
+  QueryStatus status;
+  std::string error;
+};
+Failure escaped_failure(const std::string& context);
 
 }  // namespace stm

@@ -1,795 +1,38 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace stm {
 
-namespace {
-
-/// Degradation order per requested engine. The chain starts with the
-/// requested engine itself; every later entry trades performance for
-/// independence from the failing machinery (the reference enumerator shares
-/// no candidate-set code with either optimized engine).
-std::vector<EngineKind> fallback_chain(EngineKind requested, bool fallback) {
-  std::vector<EngineKind> chain{requested};
-  if (!fallback) return chain;
-  switch (requested) {
-    case EngineKind::kSimt:
-      chain.push_back(EngineKind::kHost);
-      chain.push_back(EngineKind::kReference);
-      break;
-    case EngineKind::kHost:
-      chain.push_back(EngineKind::kReference);
-      break;
-    case EngineKind::kReference:
-      break;
-  }
-  return chain;
-}
-
-}  // namespace
-
-struct GraphSession::QueryJob {
-  QueryRequest req;
-  std::promise<QueryResult> promise;
-  std::shared_ptr<CancelToken> token;
-  double deadline_ms = 0.0;  // effective budget (effective_deadline_ms)
-  Timer since_submit;  // started at submission; queue wait + total latency
-};
-
-/// Everything the delegated-to constructor needs: the graph to build the
-/// member MutableGraph from (the checkpointed CSR when recovery found one,
-/// the caller's seed otherwise), the epoch to seed it at, and the recovered
-/// state the constructor body replays.
-struct GraphSession::Boot {
-  Graph graph;
-  std::uint64_t start_epoch = 0;
-  SessionConfig cfg;
-  std::unique_ptr<persist::PersistenceManager> manager;
-  persist::RecoveredState recovered;
-};
-
-GraphSession::Boot GraphSession::make_boot(Graph graph, SessionConfig cfg) {
-  Boot boot;
-  boot.cfg = std::move(cfg);
-  boot.graph = std::move(graph);
-  if (boot.cfg.persistence.enabled()) {
-    boot.manager =
-        std::make_unique<persist::PersistenceManager>(boot.cfg.persistence);
-    boot.recovered = boot.manager->recover();
-    if (boot.recovered.checkpoint.has_value()) {
-      // The durable state supersedes the seed: bit-identical CSR and epoch,
-      // so replayed WAL batches reproduce the exact pre-crash sequence.
-      boot.graph = std::move(boot.recovered.checkpoint->graph);
-      boot.start_epoch = boot.recovered.checkpoint->epoch;
-    }
-  }
-  return boot;
-}
-
 GraphSession::GraphSession(Graph graph, SessionConfig cfg)
-    : GraphSession(make_boot(std::move(graph), std::move(cfg))) {}
+    : GraphSession(cfg, UpdatePath::recover(std::move(graph), cfg.persistence)) {
+}
 
 std::unique_ptr<GraphSession> GraphSession::restore(SessionConfig cfg) {
   STM_CHECK_MSG(cfg.persistence.enabled(),
                 "restore requires SessionConfig::persistence.dir");
-  Boot boot = make_boot(Graph{}, std::move(cfg));
-  STM_CHECK_MSG(boot.recovered.checkpoint.has_value(),
+  UpdatePath::Recovery rec = UpdatePath::recover(Graph{}, cfg.persistence);
+  STM_CHECK_MSG(rec.state.checkpoint.has_value(),
                 "restore found no loadable checkpoint in '"
-                    << boot.cfg.persistence.dir
+                    << cfg.persistence.dir
                     << "'; reconstruct the session with its seed graph");
-  return std::unique_ptr<GraphSession>(new GraphSession(std::move(boot)));
+  return std::unique_ptr<GraphSession>(
+      new GraphSession(std::move(cfg), std::move(rec)));
 }
 
-GraphSession::GraphSession(Boot boot)
-    : dyn_(std::move(boot.graph), boot.start_epoch, boot.cfg.storage),
-      cfg_(std::move(boot.cfg)),
+GraphSession::GraphSession(SessionConfig cfg, UpdatePath::Recovery rec)
+    : dyn_(std::move(rec.graph), rec.start_epoch, cfg.storage),
+      cfg_(std::move(cfg)),
       plan_cache_(cfg_.plan_cache_capacity),
-      queries_submitted_(metrics_.counter(
-          "queries_submitted", "Queries received (admitted + rejected)")),
-      queries_admitted_(
-          metrics_.counter("queries_admitted", "Queries accepted for execution")),
-      queries_rejected_(metrics_.counter(
-          "queries_rejected", "Queries shed at admission (overload)")),
-      queries_completed_(
-          metrics_.counter("queries_completed", "Queries finished with ok")),
-      queries_failed_(metrics_.counter(
-          "queries_failed",
-          "Queries finished non-ok (deadline, cancel, invalid, internal)")),
-      queries_degraded_(metrics_.counter(
-          "queries_degraded", "Queries served by a fallback engine")),
-      engine_retries_(metrics_.counter(
-          "engine_retries", "Engine calls re-issued after kInternalError")),
-      engine_fallbacks_(metrics_.counter(
-          "engine_fallbacks", "Fallback-chain hops past the requested engine")),
-      breaker_skips_(metrics_.counter(
-          "breaker_skips", "Engine calls skipped by an open circuit breaker")),
-      watchdog_kills_(metrics_.counter(
-          "watchdog_kills", "Queries force-failed for stalled progress")),
-      faults_injected_total_(metrics_.counter(
-          "faults_injected_total", "Injected faults observed across queries")),
-      recovery_units_total_(metrics_.counter(
-          "recovery_units_total", "Work units recovered after injected faults")),
-      matches_total_(
-          metrics_.counter("matches_total", "Embeddings counted across queries")),
-      engine_scalar_ops_(metrics_.counter(
-          "engine_scalar_ops", "Scalar set-operation work across queries")),
-      engine_steals_total_(metrics_.counter(
-          "engine_steals_total",
-          "Work pieces moved between engine workers across queries")),
-      updates_applied_(metrics_.counter(
-          "updates_applied", "Update batches applied (epoch bumps)")),
-      updates_failed_(metrics_.counter(
-          "updates_failed", "Update batches rejected or failed pre-publish")),
-      edges_inserted_(metrics_.counter(
-          "edges_inserted", "Edges effectively inserted across batches")),
-      edges_deleted_(metrics_.counter(
-          "edges_deleted", "Edges effectively deleted across batches")),
-      sharded_queries_(metrics_.counter(
-          "sharded_queries", "Queries served by the cross-shard coordinator")),
-      shard_chunk_steals_(metrics_.counter(
-          "shard_chunk_steals",
-          "Sharded work units run by a foreign shard's worker")),
-      stream_emitted_total_(metrics_.counter(
-          "stream_emitted_total",
-          "Embeddings emitted into stream sequencers (pre-limit)")),
-      wal_appended_bytes_(metrics_.counter(
-          "wal_appended_bytes_total",
-          "Durable write-ahead-log bytes appended (intact frames only)")),
-      checkpoints_written_(metrics_.counter(
-          "checkpoints_written", "Durable checkpoints installed")),
-      checkpoint_failures_(metrics_.counter(
-          "checkpoint_failures",
-          "Checkpoint installs abandoned (chaos budget exhausted)")),
-      recovery_replayed_batches_(metrics_.counter(
-          "recovery_replayed_batches",
-          "Update batches replayed from the WAL at session construction")),
-      storage_page_faults_(metrics_.counter(
-          "storage_page_faults_total",
-          "Spill-tier page-cache misses (pages fetched from disk)")),
-      storage_decode_ops_(metrics_.counter(
-          "storage_decode_ops_total",
-          "Adjacency lists decoded from a compressed storage backend")),
-      inflight_(metrics_.gauge("inflight_queries", "Queries executing now")),
-      queue_depth_(metrics_.gauge("queue_depth", "Queries waiting to start")),
-      cache_hit_rate_(metrics_.gauge("plan_cache_hit_rate",
-                                     "Fraction of plan lookups served cached")),
-      graph_epoch_(metrics_.gauge("graph_epoch", "Current graph version")),
-      shard_imbalance_(metrics_.gauge(
-          "shard_imbalance",
-          "Max/mean per-shard edge load (intra + half incident cut)")),
-      cut_edge_fraction_(metrics_.gauge(
-          "cut_edge_fraction", "Cut edges / total edges of the partition")),
-      open_streams_(
-          metrics_.gauge("open_streams", "Embedding streams open now")),
-      recovery_ms_(metrics_.gauge(
-          "recovery_ms", "Wall time of crash recovery at construction")),
-      storage_resident_bytes_(metrics_.gauge(
-          "storage_resident_bytes",
-          "Bytes the storage backend holds in memory now")),
-      graph_resident_bytes_(metrics_.gauge(
-          "graph_resident_bytes",
-          "Resident bytes of the current graph version (backend + overlays)")),
-      compression_ratio_(metrics_.gauge(
-          "compression_ratio",
-          "Raw CSR bytes over encoded bytes (1 when uncompressed)")),
-      latency_ms_(metrics_.histogram("query_latency_ms",
-                                     "Submission-to-completion latency")),
-      queue_wait_ms_(metrics_.histogram("queue_wait_ms",
-                                        "Admission-to-execution wait")),
-      update_latency_ms_(metrics_.histogram(
-          "update_latency_ms", "apply_updates wall time per batch")),
-      stream_backpressure_ms_(metrics_.histogram(
-          "stream_backpressure_ms",
-          "Producer wall time blocked on stream backpressure, per stream")),
-      checkpoint_duration_ms_(metrics_.histogram(
-          "checkpoint_duration_ms",
-          "Durable checkpoint install wall time (snapshot + fsync + rename)")),
-      standing_(cfg_.standing_index, cfg_.host_threads_per_query, plan_cache_,
-                metrics_),
-      watchdog_(cfg_.resilience.watchdog_stall_ms,
-                cfg_.resilience.watchdog_poll_ms, &watchdog_kills_),
+      updates_(dyn_, cfg_, plan_cache_, metrics_, std::move(rec)),
+      queries_(dyn_, cfg_, plan_cache_, metrics_, admission_, updates_),
       admission_(std::max<std::size_t>(1, cfg_.max_concurrent_queries),
-                 cfg_.max_queued_queries) {
-  STM_CHECK_MSG(dyn_.base().num_vertices() > 0,
-                "GraphSession requires a non-empty graph");
-  for (std::size_t k = 0; k < kNumEngineKinds; ++k) {
-    breakers_[k] = CircuitBreaker(cfg_.resilience.breaker);
-    breaker_state_gauges_[k] = &metrics_.gauge(
-        std::string("breaker_state_") + to_string(static_cast<EngineKind>(k)),
-        "Circuit state (0=closed, 1=open, 2=half-open)");
-  }
-  if (cfg_.resilience.pool_fault.enabled()) {
-    STM_CHECK(cfg_.resilience.pool_fault.max_unit_attempts >= 1);
-    pool_injector_.emplace(cfg_.resilience.pool_fault);
-    admission_.set_fault_injection(&*pool_injector_,
-                                   cfg_.resilience.pool_fault.max_unit_attempts);
-  }
+                 cfg_.max_queued_queries, cfg_.resilience.pool_fault) {}
 
-  persist_ = std::move(boot.manager);
-  if (persist_ != nullptr) {
-    Timer recovery_timer;
-    persist::RecoveredState& rec = boot.recovered;
-    recovery_report_ = rec.report;
-    if (rec.checkpoint.has_value()) {
-      standing_.restore(rec.checkpoint->standing,
-                        rec.checkpoint->next_standing_id);
-    }
-    // Replay the WAL tail in LSN order through the regular apply path. The
-    // update fault injector is installed only *after* replay: a replayed
-    // batch was already acknowledged once and must not re-roll its dice.
-    for (const persist::WalRecord& r : rec.tail) {
-      switch (r.type) {
-        case persist::WalRecordType::kUpdateBatch: {
-          const std::shared_ptr<const GraphSnapshot> from = dyn_.snapshot();
-          UpdateBatch batch;
-          batch.insertions = r.delta.inserted;
-          batch.deletions = r.delta.deleted;
-          const ApplyResult applied = dyn_.apply(batch);
-          STM_CHECK_MSG(applied.snapshot->epoch() == r.epoch,
-                        "WAL replay diverged: record "
-                            << r.lsn << " expects epoch " << r.epoch
-                            << " but replay produced "
-                            << applied.snapshot->epoch());
-          STM_CHECK_MSG(applied.applied == r.delta,
-                        "WAL replay diverged: record "
-                            << r.lsn
-                            << " re-applied with a different effective delta");
-          standing_.apply(from, applied.applied, r.epoch, nullptr);
-          break;
-        }
-        case persist::WalRecordType::kRegisterStanding:
-          standing_.restore({r.standing}, r.standing.id + 1);
-          break;
-        case persist::WalRecordType::kUnregisterStanding:
-          standing_.unregister(r.standing_id, nullptr);
-          break;
-      }
-    }
-    graph_epoch_.set(static_cast<double>(dyn_.epoch()));
-    // Fold the replayed deltas back into a flat CSR: post-recovery queries
-    // (and a sharded partition build) should not pay the overlay tax for
-    // history that is already durable.
-    if (!rec.tail.empty()) dyn_.compact();
-    persist_->open_wal(rec.next_lsn, rec.wal_valid_bytes);
-    if (!rec.report.checkpoint_loaded) {
-      // First boot of this directory: install checkpoint 1 right away so
-      // restore() works after any later crash (failure is tolerable — the
-      // WAL alone still carries everything).
-      checkpoint_locked();
-    }
-    recovery_report_.recovery_ms = recovery_timer.elapsed_ms();
-    recovery_ms_.set(recovery_report_.recovery_ms);
-    recovery_replayed_batches_.inc(recovery_report_.replayed_batches);
-  }
-  if (cfg_.update_fault.enabled()) {
-    STM_CHECK(cfg_.update_fault.max_unit_attempts >= 1);
-    dyn_.set_fault(cfg_.update_fault);
-  }
-  if (cfg_.sharding.enabled()) {
-    if (cfg_.sharding.fault.enabled())
-      STM_CHECK(cfg_.sharding.fault.max_unit_attempts >= 1);
-    rebuild_shards(dyn_.snapshot(), nullptr);
-  }
-  refresh_storage_metrics();
-}
-
-void GraphSession::refresh_storage_metrics() {
-  // The whole refresh — snapshot acquisition, stats read, counter fold —
-  // runs under one lock so concurrent refreshes serialize and each folds a
-  // consistent (store, stats) pair. Stores only move forward (compact()
-  // publishes a rebuilt backend, never an old one), so the identity check
-  // below sees each store's counters folded from its own baseline; without
-  // the lock two threads could read stats() from different stores around a
-  // compact() and apply them to the seen-counters out of order.
-  std::lock_guard<std::mutex> lock(storage_metrics_mu_);
-  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  graph_resident_bytes_.set(static_cast<double>(snap->memory_bytes()));
-  const std::shared_ptr<const storage::GraphStore>& store = snap->store();
-  if (store == nullptr) {
-    storage_resident_bytes_.set(0.0);
-    compression_ratio_.set(1.0);
-    return;
-  }
-  // Decoded lists are per-run working memory; reclaim them once they exceed
-  // the policy budget. A trim racing a running query is a no-op (the lease
-  // blocks it) and the cache shrinks at the next refresh instead.
-  const std::uint64_t budget = cfg_.storage.memory_budget_bytes;
-  if (budget > 0 && store->stats().decoded_cache_bytes > budget)
-    store->trim_decoded();
-  const storage::StorageStats st = store->stats();
-  storage_resident_bytes_.set(static_cast<double>(st.resident_bytes));
-  compression_ratio_.set(st.compression_ratio);
-  // Store counters are cumulative per-store and restart from zero when
-  // compact() swaps in a rebuilt backend; key the seen-counters to the store
-  // identity (weak_ptr: expiry-safe against address reuse) and fold only the
-  // increments into the monotone session counters.
-  if (storage_metrics_store_.lock() != store) {
-    storage_metrics_store_ = store;
-    storage_page_faults_seen_ = 0;
-    storage_decode_ops_seen_ = 0;
-  }
-  storage_page_faults_.inc(st.page_faults - storage_page_faults_seen_);
-  storage_page_faults_seen_ = st.page_faults;
-  storage_decode_ops_.inc(st.decode_ops - storage_decode_ops_seen_);
-  storage_decode_ops_seen_ = st.decode_ops;
-}
-
-GraphSession::~GraphSession() {
-  // Abort and settle whatever streams are still open: their producer threads
-  // and finalizers touch session members, so they must be gone before the
-  // members are. Surviving handles see only their (finalized) StreamState.
-  std::vector<std::shared_ptr<StreamState>> live;
-  {
-    std::lock_guard<std::mutex> lock(streams_mu_);
-    // From here on open_stream rejects (kCancelled) instead of admitting:
-    // the flag and the sweep snapshot change under one lock, so a stream
-    // racing this destructor is either in `live` (and swept below) or was
-    // never admitted — it cannot slip in between and outlive the session.
-    shutting_down_ = true;
-    live.assign(live_streams_.begin(), live_streams_.end());
-  }
-  for (const auto& st : live) finalize_stream(st);
-  drain();
-  // Workers are done; detach the pool from the injector before it dies.
-  if (pool_injector_.has_value()) admission_.set_fault_injection(nullptr, 0);
-}
-
-std::future<QueryResult> GraphSession::submit(QueryRequest req) {
-  queries_submitted_.inc();
-  auto job = std::make_shared<QueryJob>();
-  job->req = std::move(req);
-  job->token = std::make_shared<CancelToken>();
-  std::future<QueryResult> future = job->promise.get_future();
-
-  // The deadline covers the query's whole life, queue wait included: a
-  // request that waits past its budget is interrupted as soon as it starts.
-  job->deadline_ms = effective_deadline_ms(job->req.deadline_ms);
-  if (job->deadline_ms > 0.0) job->token->set_deadline_ms(job->deadline_ms);
-
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    active_tokens_.insert(job->token);
-  }
-
-  const bool admitted =
-      admission_.admit(job->req.priority, [this, job] { execute(*job); });
-  if (!admitted) {
-    queries_rejected_.inc();
-    {
-      std::lock_guard<std::mutex> lock(tokens_mu_);
-      active_tokens_.erase(job->token);
-    }
-    QueryResult rejected;
-    rejected.status = QueryStatus::kOverloaded;
-    rejected.stats.status = QueryStatus::kOverloaded;
-    rejected.served_by = job->req.engine;
-    rejected.attempts = 0;
-    rejected.error = admission_rejection();
-    rejected.total_ms = job->since_submit.elapsed_ms();
-    job->promise.set_value(std::move(rejected));
-    return future;
-  }
-  queries_admitted_.inc();
-  queue_depth_.set(static_cast<double>(admission_.queue_depth()));
-  return future;
-}
-
-GraphSession::Failure GraphSession::escaped_failure(
-    const std::string& context) {
-  try {
-    throw;
-  } catch (const check_error& e) {
-    // Precondition violation: the request (not the engine) is at fault.
-    return {QueryStatus::kInvalidArgument, e.what()};
-  } catch (const std::exception& e) {
-    return {QueryStatus::kInternalError, context + ": " + e.what()};
-  } catch (...) {
-    return {QueryStatus::kInternalError, context + ": non-standard exception"};
-  }
-}
-
-std::string GraphSession::failure_detail(const QueryResult& r,
-                                         double deadline_ms, bool stream) {
-  const std::string partial =
-      stream ? " (the delivered embeddings are a valid prefix of the stream)"
-             : " (count is partial)";
-  const std::string subject = stream ? "stream" : "query";
-  switch (r.status) {
-    case QueryStatus::kDeadlineExceeded:
-      return "deadline of " + std::to_string(deadline_ms) + " ms exhausted" +
-             partial;
-    case QueryStatus::kCancelled:
-      return subject + " cancelled" + partial;
-    case QueryStatus::kInternalError:
-      return subject + " execution failed after " +
-             std::to_string(r.attempts) +
-             " attempt(s); recovery budget exhausted or progress stalled" +
-             partial;
-    default:
-      return subject + " failed: " + to_string(r.status);
-  }
-}
-
-std::string GraphSession::admission_rejection() const {
-  return "admission rejected: " + std::to_string(admission_.num_workers()) +
-         " running + " + std::to_string(admission_.max_queue()) +
-         " queued slots are full";
-}
-
-HostEngineConfig GraphSession::host_config(
-    const HostEngineConfig& requested) const {
-  HostEngineConfig host = requested;
-  if (host.num_threads == 0) {
-    host.num_threads = std::max<std::size_t>(1, cfg_.host_threads_per_query);
-  }
-  return host;
-}
-
-QueryResult GraphSession::run(QueryRequest req) {
-  return submit(std::move(req)).get();
-}
-
-void GraphSession::drain() { admission_.drain(); }
-
-void GraphSession::cancel_all() {
-  std::lock_guard<std::mutex> lock(tokens_mu_);
-  for (const auto& token : active_tokens_) token->cancel();
-}
-
-CircuitBreaker::State GraphSession::breaker_state(EngineKind kind) {
-  std::lock_guard<std::mutex> lock(breakers_mu_);
-  return breakers_[static_cast<std::size_t>(kind)].state();
-}
-
-bool GraphSession::shardable(EngineKind kind, const QueryRequest& req) const {
-  // kReference stays unsharded on purpose: it is the fallback of last resort
-  // and must not share failure modes with the coordinator machinery.
-  return cfg_.sharding.enabled() &&
-         (kind == EngineKind::kSimt || kind == EngineKind::kHost) &&
-         req.plan.induced == Induced::kEdge;
-}
-
-std::shared_ptr<const dist::ShardedMatcher> GraphSession::sharded_matcher(
-    EngineKind kind, const QueryRequest& req) {
-  std::string key = std::string(to_string(kind)) + '|' +
-                    std::to_string(static_cast<int>(req.plan.induced)) +
-                    std::to_string(static_cast<int>(req.plan.count_mode)) +
-                    '|' + req.pattern.to_string();
-  {
-    std::lock_guard<std::mutex> lock(shard_matchers_mu_);
-    auto it = shard_matchers_.find(key);
-    if (it != shard_matchers_.end()) return it->second;
-  }
-  dist::ShardedOptions opts;
-  opts.plan = req.plan;
-  opts.local_engine = kind;
-  opts.anchor_engine =
-      kind == EngineKind::kSimt ? DeltaEngine::kSimt : DeltaEngine::kHost;
-  // One engine thread per scheduler unit: cross-shard parallelism comes from
-  // the shard scheduler's workers, not from nested host threads. Per-request
-  // engine knobs (req.host / req.simt) do not reach the sharded path — the
-  // session's ShardingConfig governs it, which keeps cached coordinators
-  // valid across requests.
-  opts.host.num_threads = 1;
-  opts.num_workers = cfg_.sharding.num_workers;
-  opts.cut_chunk_size = cfg_.sharding.cut_chunk_size;
-  opts.fault = cfg_.sharding.fault;
-  auto matcher =
-      std::make_shared<const dist::ShardedMatcher>(req.pattern, opts);
-  std::lock_guard<std::mutex> lock(shard_matchers_mu_);
-  return shard_matchers_.emplace(std::move(key), std::move(matcher))
-      .first->second;
-}
-
-void GraphSession::rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
-                                  const DeltaEdges* delta) {
-  // Both branches read store-backed adjacency (halo refresh via snap->view(),
-  // full build via compacted()); a query completing concurrently must not
-  // trim the decode cache mid-read.
-  const auto storage_lease = snap->storage_lease();
-  std::shared_ptr<const dist::Partition> next;
-  if (delta != nullptr) {
-    std::shared_ptr<const ShardState> cur;
-    {
-      std::lock_guard<std::mutex> lock(shard_mu_);
-      cur = shard_state_;
-    }
-    STM_CHECK_MSG(cur != nullptr,
-                  "partition refresh without an initial partition");
-    next = std::make_shared<const dist::Partition>(
-        dist::refresh_partition(*cur->partition, snap->view(), *delta));
-  } else {
-    dist::PartitionConfig pcfg;
-    pcfg.num_shards = cfg_.sharding.num_shards;
-    pcfg.strategy = cfg_.sharding.strategy;
-    pcfg.hash_salt = cfg_.sharding.hash_salt;
-    // Partition the version we are pairing with — not the seed CSR, which a
-    // recovered session has long moved past. The full build only runs at
-    // construction (or first enable), where the snapshot is compact; fold
-    // any delta in defensively rather than silently dropping those edges.
-    const Graph* base = &snap->base();
-    Graph materialized;
-    if (!snap->delta_from_base().empty()) {
-      materialized = snap->compacted();
-      base = &materialized;
-    }
-    next = std::make_shared<const dist::Partition>(
-        dist::partition_graph(*base, pcfg));
-  }
-
-  // Publish the balance gauges from the materialized shards: labeled
-  // per-shard series plus the aggregate imbalance / cut-fraction pair.
-  const std::uint32_t num_shards = next->num_shards();
-  std::vector<std::uint64_t> incident(num_shards, 0);
-  for (const auto& [u, v] : next->cut_edges) {
-    ++incident[next->owner_of(u)];
-    ++incident[next->owner_of(v)];
-  }
-  double max_load = 0.0;
-  double total_load = 0.0;
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    const dist::Shard& shard = *next->shards[s];
-    const double load = static_cast<double>(shard.local.num_edges()) +
-                        0.5 * static_cast<double>(incident[s]);
-    max_load = std::max(max_load, load);
-    total_load += load;
-    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-    metrics_.gauge("shard_owned_vertices" + label, "Vertices owned per shard")
-        .set(static_cast<double>(shard.num_owned()));
-    metrics_.gauge("shard_intra_edges" + label, "Intra-shard edges per shard")
-        .set(static_cast<double>(shard.local.num_edges()));
-    metrics_
-        .gauge("shard_cut_edges" + label,
-               "Cut edges owned per shard (min-shard rule)")
-        .set(static_cast<double>(shard.cut_edges.size()));
-  }
-  shard_imbalance_.set(total_load > 0.0 ? max_load * num_shards / total_load
-                                        : 1.0);
-  cut_edge_fraction_.set(next->num_edges > 0
-                             ? static_cast<double>(next->cut_edges.size()) /
-                                   static_cast<double>(next->num_edges)
-                             : 0.0);
-
-  auto state = std::make_shared<ShardState>();
-  state->snapshot = std::move(snap);
-  state->partition = std::move(next);
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  shard_state_ = std::move(state);
-}
-
-QueryResult GraphSession::execute_engine(EngineKind kind,
-                                         const QueryRequest& req,
-                                         const MatchingPlan& plan,
-                                         const GraphSnapshot& snap,
-                                         const CancelToken& token,
-                                         std::uint32_t attempt) {
-  QueryResult result;
-  if (shardable(kind, req)) {
-    std::shared_ptr<const ShardState> state;
-    {
-      std::lock_guard<std::mutex> lock(shard_mu_);
-      state = shard_state_;
-    }
-    // The coordinator must run on the exact graph version its partition was
-    // built from; a query racing an update's partition refresh falls back to
-    // the unsharded path for its pinned snapshot instead.
-    if (state != nullptr && state->snapshot->epoch() == snap.epoch()) {
-      // The partition's snapshot can predate a compact() (same epoch, its
-      // own backend), so it needs its own lease.
-      const auto shard_lease = state->snapshot->storage_lease();
-      const auto matcher = sharded_matcher(kind, req);
-      const dist::ShardedResult r = matcher->match(
-          state->snapshot->view(), *state->partition, plan, attempt, &token);
-      sharded_queries_.inc();
-      shard_chunk_steals_.inc(r.chunk_steals);
-      result.count = r.count;
-      for (const dist::ShardStats& st : r.shards) result.stats += st.query;
-      // r's totals also cover the anchored chunks and the coordinator's own
-      // injector; they supersede the per-shard sums.
-      result.stats.faults_injected = r.faults_injected;
-      result.stats.units_recovered = r.units_recovered;
-      result.stats.status = r.status;
-      result.status = r.status;
-      result.error = r.error;
-      return result;
-    }
-  }
-  const EngineRun r = run_engine(kind, snap.view(), req.pattern, plan,
-                                 host_config(req.host), req.simt, &token);
-  result.count = r.count;
-  result.stats = r.stats;
-  result.status = r.stats.status;
-  return result;
-}
-
-QueryResult GraphSession::try_engine(EngineKind kind, const QueryRequest& req,
-                                     const MatchingPlan& plan,
-                                     const GraphSnapshot& snap,
-                                     const CancelToken& token,
-                                     std::uint32_t attempt) {
-  QueryResult result;
-  try {
-    // A fresh fault incarnation per attempt: the injected-failure schedule
-    // is a pure function of (seed, incarnation, site, key), so transient
-    // faults clear deterministically on retry instead of repeating forever.
-    QueryRequest attempt_req = req;
-    attempt_req.simt.fault.incarnation = req.simt.fault.incarnation + attempt;
-    attempt_req.host.fault.incarnation = req.host.fault.incarnation + attempt;
-    result = execute_engine(kind, attempt_req, plan, snap, token, attempt);
-  } catch (...) {
-    // Engine-call boundary (DESIGN.md §9): a throwing engine must not take
-    // down the dispatcher thread or strand the admission slot.
-    Failure failure =
-        escaped_failure(std::string("engine ") + to_string(kind) + " threw");
-    result = QueryResult{};
-    result.status = result.stats.status = failure.status;
-    result.error = std::move(failure.error);
-  }
-  return result;
-}
-
-QueryResult GraphSession::execute_resilient(
-    const QueryRequest& req, const MatchingPlan& plan, const GraphSnapshot& snap,
-    const std::shared_ptr<CancelToken>& token) {
-  const ResilienceConfig& res = cfg_.resilience;
-  const std::vector<EngineKind> chain =
-      fallback_chain(req.engine, res.enable_fallback);
-  const std::uint32_t max_attempts = std::max<std::uint32_t>(1, res.retry.max_attempts);
-
-  QueryResult last;
-  last.status = last.stats.status = QueryStatus::kInternalError;
-  last.served_by = req.engine;
-  std::uint32_t total_attempts = 0;
-  std::uint64_t faults_sum = 0;
-  std::uint64_t units_sum = 0;
-
-  auto finalize = [&](QueryResult r) {
-    r.attempts = total_attempts;
-    r.stats.faults_injected = faults_sum;
-    r.stats.units_recovered = units_sum;
-    return r;
-  };
-
-  for (EngineKind kind : chain) {
-    const auto idx = static_cast<std::size_t>(kind);
-    bool allowed;
-    {
-      std::lock_guard<std::mutex> lock(breakers_mu_);
-      const double elapsed = breaker_clock_.elapsed_ms();
-      breaker_clock_.reset();
-      for (auto& b : breakers_) b.tick_ms(elapsed);
-      allowed = breakers_[idx].allow();
-      breaker_state_gauges_[idx]->set(
-          static_cast<double>(breakers_[idx].state()));
-    }
-    if (!allowed) {
-      // Open circuit: skip straight to the next engine in the chain rather
-      // than burning the query's budget on a path that keeps failing.
-      breaker_skips_.inc();
-      continue;
-    }
-    if (kind != req.engine) engine_fallbacks_.inc();
-
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (token->expired()) {
-        // The token is burned (deadline, cancel or watchdog kill): no
-        // engine call can succeed anymore.
-        QueryResult dead;
-        dead.status = dead.stats.status = token->status();
-        dead.served_by = kind;
-        dead.degraded = kind != req.engine;
-        return finalize(std::move(dead));
-      }
-      if (attempt > 0) {
-        engine_retries_.inc();
-        const double delay_ms =
-            res.retry.backoff_ms(attempt, static_cast<std::uint64_t>(kind));
-        if (delay_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(delay_ms));
-        }
-      }
-      ++total_attempts;
-      QueryResult r = try_engine(kind, req, plan, snap, *token, attempt);
-      faults_sum += r.stats.faults_injected;
-      units_sum += r.stats.units_recovered;
-      r.served_by = kind;
-      r.degraded = kind != req.engine;
-
-      const bool failure = r.status == QueryStatus::kInternalError;
-      {
-        std::lock_guard<std::mutex> lock(breakers_mu_);
-        if (failure) {
-          breakers_[idx].record_failure();
-        } else {
-          breakers_[idx].record_success();
-        }
-        breaker_state_gauges_[idx]->set(
-            static_cast<double>(breakers_[idx].state()));
-      }
-      if (!failure) {
-        // kOk, but also kInvalidArgument / kDeadlineExceeded / kCancelled:
-        // all terminal. Retrying an invalid query would mask the caller's
-        // bug; a burned token cannot be un-burned.
-        return finalize(std::move(r));
-      }
-      last = std::move(r);
-    }
-  }
-  return finalize(std::move(last));
-}
-
-void GraphSession::execute(QueryJob& job) {
-  QueryResult result;
-  const double queue_ms = job.since_submit.elapsed_ms();
-  queue_wait_ms_.observe(queue_ms);
-  queue_depth_.set(static_cast<double>(admission_.queue_depth()));
-  inflight_.add(1.0);
-  watchdog_.watch(job.token);
-
-  try {
-    bool cache_hit = false;
-    // Skip plan work for queries that died in the queue.
-    if (job.token->expired()) {
-      result.status = result.stats.status = job.token->status();
-      result.served_by = job.req.engine;
-      result.attempts = 0;
-    } else {
-      // Pin the graph version for the query's whole life: plan compilation,
-      // retries and fallbacks all see one consistent snapshot even while a
-      // writer publishes newer epochs concurrently.
-      const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-      // Neighbor spans a compressed backend hands out stay valid while this
-      // lease is held (the decode cache cannot be trimmed under the query).
-      const auto storage_lease = snap->storage_lease();
-      auto plan = plan_cache_.get_or_compile(job.req.pattern, job.req.plan,
-                                             snap->epoch(), &cache_hit);
-      result = execute_resilient(job.req, *plan, *snap, job.token);
-      result.plan_cache_hit = cache_hit;
-      result.graph_epoch = snap->epoch();
-    }
-    cache_hit_rate_.set(plan_cache_.stats().hit_rate());
-  } catch (...) {
-    // Last line of defense (DESIGN.md §9): nothing may escape into the
-    // dispatcher pool, where it would std::terminate the process.
-    Failure failure = escaped_failure("query execution threw");
-    result = QueryResult{};
-    result.status = result.stats.status = failure.status;
-    result.error = std::move(failure.error);
-  }
-  watchdog_.unwatch(job.token);
-
-  // Every non-kOk result carries a human-readable detail string.
-  if (!result.ok() && result.error.empty()) {
-    result.error = failure_detail(result, job.deadline_ms, /*stream=*/false);
-  }
-
-  result.queue_ms = queue_ms;
-  result.total_ms = job.since_submit.elapsed_ms();
-  latency_ms_.observe(result.total_ms);
-  inflight_.add(-1.0);
-  (result.ok() ? queries_completed_ : queries_failed_).inc();
-  if (result.degraded && result.ok()) queries_degraded_.inc();
-  matches_total_.inc(result.count);
-  engine_scalar_ops_.inc(result.stats.scalar_ops);
-  engine_steals_total_.inc(result.stats.steals);
-  faults_injected_total_.inc(result.stats.faults_injected);
-  recovery_units_total_.inc(result.stats.units_recovered);
-  refresh_storage_metrics();  // the query's lease is released by now
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    active_tokens_.erase(job.token);
-  }
-  job.promise.set_value(std::move(result));
-}
+GraphSession::~GraphSession() { drain(); }
 
 std::future<UpdateOutcome> GraphSession::submit_updates(UpdateBatch batch) {
   auto promise = std::make_shared<std::promise<UpdateOutcome>>();
@@ -801,7 +44,7 @@ std::future<UpdateOutcome> GraphSession::submit_updates(UpdateBatch batch) {
   const bool admitted =
       admission_.admit(QueryPriority::kHigh, [this, shared, promise] {
         try {
-          promise->set_value(do_apply(*shared));
+          promise->set_value(updates_.apply(*shared));
         } catch (...) {
           promise->set_exception(std::current_exception());
         }
@@ -810,163 +53,10 @@ std::future<UpdateOutcome> GraphSession::submit_updates(UpdateBatch batch) {
     UpdateOutcome rejected;
     rejected.status = QueryStatus::kOverloaded;
     rejected.epoch = dyn_.epoch();
-    rejected.error = admission_rejection();
+    rejected.error = admission_.rejection();
     promise->set_value(std::move(rejected));
   }
   return future;
-}
-
-UpdateOutcome GraphSession::apply_updates(UpdateBatch batch) {
-  return submit_updates(std::move(batch)).get();
-}
-
-void GraphSession::compact() {
-  {
-    std::lock_guard<std::mutex> lock(update_mu_);
-    dyn_.compact();
-  }
-  // compact() re-encodes the backend; publish the new footprint right away.
-  refresh_storage_metrics();
-}
-
-UpdateOutcome GraphSession::do_apply(const UpdateBatch& batch) {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  Timer total;
-  UpdateOutcome out;
-
-  const std::shared_ptr<const GraphSnapshot> from = dyn_.snapshot();
-  ApplyResult applied;
-  try {
-    if (persist_ != nullptr) {
-      // Write-ahead discipline: the effective delta is logged (and fsynced)
-      // at the pre-publish point — after the successor snapshot is fully
-      // built and the kUpdateApply fault check passed, before readers can
-      // see it. A hook throw (exhausted kWalAppend budget) drops the batch:
-      // memory and durable state stay in lockstep either way. No-op batches
-      // skip the hook entirely (no epoch bump, nothing to recover).
-      applied = dyn_.apply(batch, [this](const ApplyResult& r) {
-        record_wal_append(persist_->log_update(r.snapshot->epoch(), r.applied));
-      });
-    } else {
-      applied = dyn_.apply(batch);
-    }
-  } catch (...) {
-    // A check_error is an invalid batch; anything else includes
-    // FaultInjectedError (kUpdateApply chaos): the batch validated but its
-    // snapshot was never published. Either way the graph is unchanged.
-    updates_failed_.inc();
-    Failure failure = escaped_failure("update apply failed");
-    out.status = failure.status;
-    out.error = std::move(failure.error);
-    out.epoch = from->epoch();
-    out.update_ms = total.elapsed_ms();
-    update_latency_ms_.observe(out.update_ms);
-    return out;
-  }
-
-  out.epoch = applied.snapshot->epoch();
-  out.stats = applied.stats;
-  out.applied = applied.applied;
-  updates_applied_.inc();
-  edges_inserted_.inc(applied.stats.inserted);
-  edges_deleted_.inc(applied.stats.deleted);
-  graph_epoch_.set(static_cast<double>(out.epoch));
-  // Keep the partition paired with the newest snapshot (halo refresh of the
-  // touched shards only); queries pin the pair atomically under shard_mu_.
-  if (cfg_.sharding.enabled()) rebuild_shards(applied.snapshot, &applied.applied);
-
-  StandingBatch standing;
-  standing_.apply(from, applied.applied, out.epoch, &standing);
-  out.updates = std::move(standing.updates);
-  out.incremental_ms = standing.ms;
-
-  if (persist_ != nullptr && cfg_.persistence.checkpoint_every_batches > 0 &&
-      ++batches_since_checkpoint_ >=
-          cfg_.persistence.checkpoint_every_batches) {
-    // Post-batch checkpoint: standing counts are already advanced, so the
-    // manifest matches the CSR it is stored with. A chaos-failed install
-    // leaves the WAL authoritative and retries after the next batch.
-    checkpoint_locked();
-  }
-
-  out.update_ms = total.elapsed_ms();
-  update_latency_ms_.observe(out.update_ms);
-  refresh_storage_metrics();
-  return out;
-}
-
-bool GraphSession::checkpoint() {
-  STM_CHECK_MSG(persist_ != nullptr,
-                "checkpoint() requires SessionConfig::persistence");
-  std::lock_guard<std::mutex> lock(update_mu_);
-  return checkpoint_locked();
-}
-
-std::uint64_t GraphSession::register_standing_query(StandingQueryConfig cfg) {
-  // Serialized with the update path so the baseline's (count, epoch) pair is
-  // consistent and the registration's WAL position is unambiguous.
-  std::lock_guard<std::mutex> lock(update_mu_);
-  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  return standing_.register_query(
-      std::move(cfg), snap, [&](const persist::StandingEntry& e) {
-        if (persist_ != nullptr)
-          record_wal_append(persist_->log_register(e, snap->epoch()));
-      });
-}
-
-bool GraphSession::unregister_standing_query(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  return standing_.unregister(id, [&](const persist::StandingEntry& e) {
-    if (persist_ != nullptr)
-      record_wal_append(persist_->log_unregister(e.id, dyn_.epoch()));
-  });
-}
-
-std::optional<StandingQueryInfo> GraphSession::standing_query(
-    std::uint64_t id) const {
-  return standing_.info(id);
-}
-
-mqo::IndexStats GraphSession::standing_index_stats() const {
-  return standing_.index_stats();
-}
-
-void GraphSession::record_wal_append(const persist::WalAppendResult& res) {
-  wal_appended_bytes_.inc(res.bytes);
-  if (res.faults > 0) {
-    faults_injected_total_.inc(res.faults);
-    recovery_units_total_.inc(1);  // the record landed after repairs
-  }
-}
-
-bool GraphSession::checkpoint_locked() {
-  Timer timer;
-  persist::CheckpointData data;
-  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  data.epoch = snap->epoch();
-  data.graph = snap->compacted();
-  standing_.manifest(&data);
-  const std::uint64_t faults_before = persist_->faults_injected();
-  bool ok = true;
-  try {
-    persist_->install_checkpoint(std::move(data));
-  } catch (const FaultInjectedError&) {
-    // Exhausted chaos budget: the WAL and previous checkpoint set still
-    // hold everything, so the session keeps running un-checkpointed.
-    checkpoint_failures_.inc(1);
-    ok = false;
-  }
-  const std::uint64_t faults = persist_->faults_injected() - faults_before;
-  if (faults > 0) {
-    faults_injected_total_.inc(faults);
-    if (ok) recovery_units_total_.inc(1);
-  }
-  if (ok) {
-    batches_since_checkpoint_ = 0;
-    checkpoints_written_.inc(1);
-    checkpoint_duration_ms_.observe(timer.elapsed_ms());
-  }
-  return ok;
 }
 
 }  // namespace stm

@@ -1,68 +1,43 @@
-// GraphSession: the long-lived, multi-query serving core.
+// GraphSession: the long-lived, multi-query serving core (DESIGN.md §8).
 //
-// A session owns one data graph plus everything derived from it that should
-// outlive a single query: a plan cache (matching order / symmetry / code
-// motion analysis done once per distinct pattern), an admission controller
-// (bounded concurrent execution, priority FIFO queueing, load shedding), a
-// metrics registry (latency/queue-wait histograms, cache hit rate, engine
-// op counters — exportable as JSON and Prometheus text) and a resilience
-// stack (retry policy, per-engine circuit breakers, graceful-degradation
-// fallback chain, progress watchdog).
+// A session owns one data graph, a plan cache (matching order / symmetry /
+// code motion analysis done once per distinct pattern; plans read no data
+// graph, so they survive updates), a metrics registry (JSON and Prometheus
+// export) and the admission controller (bounded concurrent execution,
+// priority FIFO queueing, load shedding) that queries and updates share.
+// It composes the two paths that do the work:
 //
-// Request lifecycle:
-//
-//   submit(req) ──► admission ──► [queue] ──► plan cache ──► engine ──► result
-//        │             │                          │             │        │
-//        │   kOverloaded when full        hit: reuse plan   CancelToken  │
-//        │             ▼                  miss: compile     (deadline)   ▼
-//        └──────► metrics ◄───────────────────────┴─────────────────► future
-//
-// Every query gets a CancelToken armed at submission; the engines poll it
-// cooperatively, so a query past its deadline returns kDeadlineExceeded with
-// the partial count instead of running unbounded.
-//
-// Fault handling (DESIGN.md §9): an engine call that fails transiently
-// (kInternalError, or an escaped exception) is retried under the session's
-// RetryPolicy with a fresh fault incarnation, then — if still failing — the
-// dispatcher walks the engine's fallback chain (kSimt → kHost → kReference;
-// kHost → kReference) and marks the result `degraded`. A per-engine circuit
-// breaker skips engines that keep failing; the watchdog force-fails queries
-// whose progress counter stalls.
+//   query path   admission → plan → retry / breaker / fallback → engine,
+//                for count queries and streams (service/query_path.hpp)
+//   update path  writer lock → apply + WAL → publish → partition refresh →
+//                standing deltas → checkpoint (service/update_path.hpp)
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "core/cancel.hpp"
 #include "core/config.hpp"
-#include "core/emit.hpp"
 #include "core/fault.hpp"
 #include "core/host_engine.hpp"
 #include "core/query_stats.hpp"
 #include "core/run.hpp"
 #include "dist/partition.hpp"
-#include "dist/sharded.hpp"
 #include "dynamic/dynamic_graph.hpp"
-#include "dynamic/incremental.hpp"
 #include "graph/graph.hpp"
 #include "pattern/pattern.hpp"
 #include "persist/manager.hpp"
 #include "service/admission.hpp"
 #include "service/metrics.hpp"
 #include "service/plan_cache.hpp"
+#include "service/query_path.hpp"
 #include "service/resilience.hpp"
 #include "service/standing.hpp"
-#include "service/watchdog.hpp"
+#include "service/update_path.hpp"
 #include "storage/store.hpp"
-#include "util/timer.hpp"
 
 namespace stm {
 
@@ -247,10 +222,12 @@ class GraphSession {
   /// Asynchronous entry point. The future is always fulfilled — with
   /// kOverloaded immediately when admission rejects, with the query result
   /// otherwise.
-  std::future<QueryResult> submit(QueryRequest req);
+  std::future<QueryResult> submit(QueryRequest req) {
+    return queries_.submit(std::move(req));
+  }
 
   /// Synchronous convenience wrapper: submit + wait.
-  QueryResult run(QueryRequest req);
+  QueryResult run(QueryRequest req) { return submit(std::move(req)).get(); }
 
   /// Submits an update batch through admission (updates share the dispatcher
   /// pool with queries and are shed with kOverloaded under the same bounds).
@@ -261,23 +238,25 @@ class GraphSession {
   std::future<UpdateOutcome> submit_updates(UpdateBatch batch);
 
   /// Synchronous convenience wrapper: submit_updates + wait.
-  UpdateOutcome apply_updates(UpdateBatch batch);
+  UpdateOutcome apply_updates(UpdateBatch batch) {
+    return submit_updates(std::move(batch)).get();
+  }
 
   /// Rebuilds the CSR from the current version (same logical graph, same
   /// epoch). Serialized with updates.
-  void compact();
+  void compact() { updates_.compact(); }
 
   /// Installs a durable checkpoint of the current state (compacted CSR +
   /// epoch + standing-query manifest) and truncates the WAL it covers.
   /// Serialized with updates. Returns false when an injected
   /// kCheckpointWrite budget was exhausted — the session keeps running on
   /// WAL durability alone. Requires SessionConfig::persistence.
-  bool checkpoint();
+  bool checkpoint() { return updates_.checkpoint(); }
 
   /// What crash recovery did at construction (all-default when persistence
   /// is off or the state directory was fresh).
   const persist::RecoveryReport& recovery_report() const {
-    return recovery_report_;
+    return updates_.recovery_report();
   }
 
   /// Opens an embedding stream (service/stream.hpp): the query's matched
@@ -300,233 +279,54 @@ class GraphSession {
   /// persistence, the registration is WAL-logged (baseline count included)
   /// before it takes effect; an exhausted kWalAppend budget throws
   /// FaultInjectedError and registers nothing.
-  std::uint64_t register_standing_query(StandingQueryConfig cfg);
+  std::uint64_t register_standing_query(StandingQueryConfig cfg) {
+    return updates_.register_standing(std::move(cfg));
+  }
   /// Removes a standing query; false when the id is unknown. With
   /// persistence, the removal is WAL-logged first (and serialized with the
   /// update path, like registration).
-  bool unregister_standing_query(std::uint64_t id);
+  bool unregister_standing_query(std::uint64_t id) {
+    return updates_.unregister_standing(id);
+  }
   /// Current state of a standing query, if registered.
-  std::optional<StandingQueryInfo> standing_query(std::uint64_t id) const;
+  std::optional<StandingQueryInfo> standing_query(std::uint64_t id) const {
+    return updates_.standing().info(id);
+  }
 
   /// Shared-index observability: registrations, canonical groups, and trie
   /// shape (all-zero when SessionConfig::standing_index is off).
-  mqo::IndexStats standing_index_stats() const;
+  mqo::IndexStats standing_index_stats() const {
+    return updates_.standing().index_stats();
+  }
 
   /// Blocks until every submitted query has completed.
-  void drain();
+  void drain() { admission_.drain(); }
 
   /// Cancels every queued and running query (they complete with
   /// kCancelled). New submissions are unaffected.
-  void cancel_all();
+  void cancel_all() { queries_.cancel_all(); }
 
   PlanCache& plan_cache() { return plan_cache_; }
   MetricsRegistry& metrics() { return metrics_; }
 
   /// Current breaker state for an engine (test/observability hook).
-  CircuitBreaker::State breaker_state(EngineKind kind);
+  CircuitBreaker::State breaker_state(EngineKind kind) {
+    return queries_.breaker_state(kind);
+  }
 
  private:
-  friend class EmbeddingStream;
-
-  struct QueryJob;
-  /// Everything one embedding stream owns (defined in stream.cpp). Shared
-  /// between the handle, the producer thread, and the session's live-stream
-  /// registry.
-  struct StreamState;
-  void execute(QueryJob& job);
-
-  /// The one failure path: maps the exception in flight (call from a catch
-  /// block) to check_error → kInvalidArgument with its message (the request
-  /// is at fault), anything else → kInternalError "<context>: <what>".
-  struct Failure {
-    QueryStatus status;
-    std::string error;
-  };
-  static Failure escaped_failure(const std::string& context);
-  /// Detail text for a non-kOk query or stream result that carries none.
-  static std::string failure_detail(const QueryResult& r, double deadline_ms,
-                                    bool stream);
-  /// A request's deadline_ms, or the session default when it asks for 0.
-  double effective_deadline_ms(double requested) const {
-    return requested == 0.0 ? cfg_.default_deadline_ms : requested;
-  }
-  /// Error text of a query or update batch shed at admission.
-  std::string admission_rejection() const;
-  /// `requested` with num_threads = 0 clamped to host_threads_per_query.
-  HostEngineConfig host_config(const HostEngineConfig& requested) const;
-
-  /// One engine call on `kind`, exceptions contained (escaped_failure).
-  QueryResult try_engine(EngineKind kind, const QueryRequest& req,
-                         const MatchingPlan& plan, const GraphSnapshot& snap,
-                         const CancelToken& token, std::uint32_t attempt);
-  QueryResult execute_engine(EngineKind kind, const QueryRequest& req,
-                             const MatchingPlan& plan,
-                             const GraphSnapshot& snap,
-                             const CancelToken& token, std::uint32_t attempt);
-  /// Sharded-mode eligibility for (kind, req) — see ShardingConfig.
-  bool shardable(EngineKind kind, const QueryRequest& req) const;
-  /// Cached cross-shard coordinator for the request's pattern/options.
-  std::shared_ptr<const dist::ShardedMatcher> sharded_matcher(
-      EngineKind kind, const QueryRequest& req);
-  /// (Re)builds the partition for `snap` and publishes it with the per-shard
-  /// gauges; `delta` refreshes instead of rebuilding when non-null.
-  void rebuild_shards(std::shared_ptr<const GraphSnapshot> snap,
-                      const DeltaEdges* delta);
-  /// Retry + breaker + fallback-chain walk around try_engine.
-  QueryResult execute_resilient(const QueryRequest& req,
-                                const MatchingPlan& plan,
-                                const GraphSnapshot& snap,
-                                const std::shared_ptr<CancelToken>& token);
-  /// The update path proper (runs on a dispatcher worker).
-  UpdateOutcome do_apply(const UpdateBatch& batch);
-  /// Pre-construction state assembly: runs recovery (when persistence is
-  /// on) so the member graph can be built directly at the checkpointed
-  /// epoch; the delegated-to constructor then replays the WAL tail.
-  struct Boot;
-  explicit GraphSession(Boot boot);
-  static Boot make_boot(Graph graph, SessionConfig cfg);
-  /// checkpoint() body; caller holds update_mu_.
-  bool checkpoint_locked();
-  /// Folds one WAL append into the byte and fault counters (a repaired
-  /// append counts as one recovered unit).
-  void record_wal_append(const persist::WalAppendResult& res);
-  /// Publishes the storage gauges/counters from the current snapshot's
-  /// backend. Store counters are cumulative per-store and restart from zero
-  /// when compact() rebuilds the backend; the last-seen state under
-  /// storage_metrics_mu_ converts them to monotone Prometheus counters.
-  /// Also trims the backend's decoded-list cache back under the policy
-  /// budget when no query holds a lease on it.
-  void refresh_storage_metrics();
-
-  /// Producer-thread body of an embedding stream: runs the engine in
-  /// emission mode against the state's pinned snapshot, then finishes the
-  /// sequencer with the engine's terminal status.
-  void run_stream(const std::shared_ptr<StreamState>& st);
-  /// One-shot stream teardown (idempotent via the state's once-flag): joins
-  /// the producer, assembles the QueryResult, settles metrics and releases
-  /// the admission slot. Safe after the session is gone for states it
-  /// detached first.
-  static void finalize_stream(const std::shared_ptr<StreamState>& st);
-  /// Builds a handle whose stream is already terminal (admission rejection,
-  /// bad resume token, plan-compilation failure).
-  std::unique_ptr<EmbeddingStream> reject_stream(EngineKind engine,
-                                                 QueryStatus status,
-                                                 std::string error);
+  /// `rec` (UpdatePath::recover) holds the graph to build the session from:
+  /// the checkpointed CSR at its epoch when recovery found one.
+  GraphSession(SessionConfig cfg, UpdatePath::Recovery rec);
 
   MutableGraph dyn_;
   SessionConfig cfg_;
   PlanCache plan_cache_;
   MetricsRegistry metrics_;
-
-  /// Sharded mode: the partition and the snapshot it was built from, swapped
-  /// atomically under shard_mu_ so a query always sees a matched pair.
-  struct ShardState {
-    std::shared_ptr<const GraphSnapshot> snapshot;
-    std::shared_ptr<const dist::Partition> partition;
-  };
-  mutable std::mutex shard_mu_;
-  std::shared_ptr<const ShardState> shard_state_;
-  /// Coordinators are pattern-analysis-heavy (one anchored plan per pattern
-  /// edge); cache them keyed by pattern + semantics + engine kind.
-  std::mutex shard_matchers_mu_;
-  std::map<std::string, std::shared_ptr<const dist::ShardedMatcher>>
-      shard_matchers_;
-
-  /// Serializes apply/compact (single logical writer); never held while an
-  /// engine runs a query.
-  std::mutex update_mu_;
-
-  std::mutex tokens_mu_;
-  std::unordered_set<std::shared_ptr<CancelToken>> active_tokens_;
-
-  /// Open embedding streams (admission accounting + shutdown sweep: the
-  /// session destructor aborts and finalizes whatever is still open so
-  /// orphaned handles cannot touch a dead session). shutting_down_ closes
-  /// the race between the destructor's sweep and an open_stream admitted
-  /// concurrently — both the flag and the registry mutate under streams_mu_,
-  /// so a stream is either swept or rejected, never orphaned live.
-  std::mutex streams_mu_;
-  std::unordered_set<std::shared_ptr<StreamState>> live_streams_;
-  bool shutting_down_ = false;  // guarded by streams_mu_
-
-  /// Durability stack (null without SessionConfig::persistence). WAL
-  /// appends are serialized under update_mu_ (the single-writer lock).
-  std::unique_ptr<persist::PersistenceManager> persist_;
-  persist::RecoveryReport recovery_report_;
-  std::uint32_t batches_since_checkpoint_ = 0;  // guarded by update_mu_
-
-  /// Last store-cumulative counter values folded into the monotone storage
-  /// counters, keyed to the store they came from (see
-  /// refresh_storage_metrics). All three guarded by storage_metrics_mu_.
-  std::mutex storage_metrics_mu_;
-  std::weak_ptr<const storage::GraphStore> storage_metrics_store_;
-  std::uint64_t storage_page_faults_seen_ = 0;
-  std::uint64_t storage_decode_ops_seen_ = 0;
-
-  // Cached metric handles (registry entries have stable addresses).
-  Counter& queries_submitted_;
-  Counter& queries_admitted_;
-  Counter& queries_rejected_;
-  Counter& queries_completed_;
-  Counter& queries_failed_;
-  Counter& queries_degraded_;
-  Counter& engine_retries_;
-  Counter& engine_fallbacks_;
-  Counter& breaker_skips_;
-  Counter& watchdog_kills_;
-  Counter& faults_injected_total_;
-  Counter& recovery_units_total_;
-  Counter& matches_total_;
-  Counter& engine_scalar_ops_;
-  Counter& engine_steals_total_;
-  Counter& updates_applied_;
-  Counter& updates_failed_;
-  Counter& edges_inserted_;
-  Counter& edges_deleted_;
-  Counter& sharded_queries_;
-  Counter& shard_chunk_steals_;
-  Counter& stream_emitted_total_;
-  Counter& wal_appended_bytes_;
-  Counter& checkpoints_written_;
-  Counter& checkpoint_failures_;
-  Counter& recovery_replayed_batches_;
-  Counter& storage_page_faults_;
-  Counter& storage_decode_ops_;
-  Gauge& inflight_;
-  Gauge& queue_depth_;
-  Gauge& cache_hit_rate_;
-  Gauge& graph_epoch_;
-  Gauge& shard_imbalance_;
-  Gauge& cut_edge_fraction_;
-  Gauge& open_streams_;
-  Gauge& recovery_ms_;
-  Gauge& storage_resident_bytes_;
-  Gauge& graph_resident_bytes_;
-  Gauge& compression_ratio_;
-  Histogram& latency_ms_;
-  Histogram& queue_wait_ms_;
-  Histogram& update_latency_ms_;
-  Histogram& stream_backpressure_ms_;
-  Histogram& checkpoint_duration_ms_;
-
-  /// Standing queries; their mutators run under update_mu_.
-  StandingRegistry standing_;
-
-  // One breaker per engine kind, guarded by breakers_mu_ (engine calls run
-  // outside the lock; only the state transitions are serialized). The
-  // breakers run on injected virtual time: breaker_clock_ measures the wall
-  // time between consultations and feeds it to tick_ms().
-  std::mutex breakers_mu_;
-  std::array<CircuitBreaker, kNumEngineKinds> breakers_;
-  std::array<Gauge*, kNumEngineKinds> breaker_state_gauges_{};
-  Timer breaker_clock_;
-
-  std::optional<FaultInjector> pool_injector_;
-  Watchdog watchdog_;
-
-  // Declared last: its worker threads touch the members above, and members
-  // destruct in reverse order, so the pool drains before anything it uses
-  // goes away.
+  UpdatePath updates_;
+  QueryPath queries_;
+  // Declared last: its worker threads run both paths' jobs, and members
+  // destruct in reverse order, so the pool is gone before anything it uses.
   AdmissionController admission_;
 };
 

@@ -16,27 +16,7 @@ StandingRegistry::StandingRegistry(bool indexed, std::size_t baseline_threads,
     : indexed_(indexed),
       baseline_threads_(std::max<std::size_t>(1, baseline_threads)),
       plans_(plans),
-      standing_queries_(
-          metrics.gauge("standing_queries", "Registered standing queries")),
-      standing_patterns_(metrics.gauge(
-          "standing_patterns",
-          "Distinct canonical pattern groups in the standing-query index")),
-      trie_nodes_(
-          metrics.gauge("trie_nodes", "Nodes of the shared-prefix plan trie")),
-      shared_prefix_ratio_(metrics.gauge(
-          "shared_prefix_ratio",
-          "Fraction of per-plan enumeration levels served by a shared trie "
-          "prefix (1 - nodes / plan positions)")),
-      delta_speedup_(metrics.gauge(
-          "delta_vs_full_speedup",
-          "Registration-time full-enumeration ms / last batch delta ms")),
-      incremental_latency_ms_(metrics.histogram(
-          "incremental_latency_ms",
-          "Standing-query delta computation time per batch")),
-      indexed_delta_latency_ms_(metrics.histogram(
-          "indexed_delta_latency_ms",
-          "Shared trie-pass wall time per batch (serves every standing "
-          "query at once; indexed mode only)")) {}
+      metrics_(metrics) {}
 
 std::uint64_t StandingRegistry::register_query(
     StandingQueryConfig cfg, const std::shared_ptr<const GraphSnapshot>& snap,
@@ -84,7 +64,7 @@ std::uint64_t StandingRegistry::baseline(const StandingQueryConfig& cfg,
                  : embeddings;
     }
   }
-  const auto plan = plans_.get_or_compile(cfg.pattern, cfg.plan, snap.epoch());
+  const auto plan = plans_.get_or_compile(cfg.pattern, cfg.plan);
   HostEngineConfig host;
   host.num_threads = baseline_threads_;
   Timer full_timer;

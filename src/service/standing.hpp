@@ -184,19 +184,34 @@ class StandingRegistry {
   const bool indexed_;
   const std::size_t baseline_threads_;
   PlanCache& plans_;
+  MetricsRegistry& metrics_;
 
   mutable std::mutex mu_;
   std::map<std::uint64_t, Query> queries_;
   mqo::PatternIndex index_;  // empty in per-pattern mode
   std::uint64_t next_id_ = 1;
 
-  Gauge& standing_queries_;
-  Gauge& standing_patterns_;
-  Gauge& trie_nodes_;
-  Gauge& shared_prefix_ratio_;
-  Gauge& delta_speedup_;
-  Histogram& incremental_latency_ms_;
-  Histogram& indexed_delta_latency_ms_;
+  Gauge& standing_queries_ =
+      metrics_.gauge("standing_queries", "Registered standing queries");
+  Gauge& standing_patterns_ = metrics_.gauge(
+      "standing_patterns",
+      "Distinct canonical pattern groups in the standing-query index");
+  Gauge& trie_nodes_ =
+      metrics_.gauge("trie_nodes", "Nodes of the shared-prefix plan trie");
+  Gauge& shared_prefix_ratio_ = metrics_.gauge(
+      "shared_prefix_ratio",
+      "Fraction of per-plan enumeration levels served by a shared trie "
+      "prefix (1 - nodes / plan positions)");
+  Gauge& delta_speedup_ = metrics_.gauge(
+      "delta_vs_full_speedup",
+      "Registration-time full-enumeration ms / last batch delta ms");
+  Histogram& incremental_latency_ms_ = metrics_.histogram(
+      "incremental_latency_ms",
+      "Standing-query delta computation time per batch");
+  Histogram& indexed_delta_latency_ms_ = metrics_.histogram(
+      "indexed_delta_latency_ms",
+      "Shared trie-pass wall time per batch (serves every standing query at "
+      "once; indexed mode only)");
 };
 
 }  // namespace stm

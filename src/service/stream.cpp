@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
-#include <limits>
 #include <queue>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,46 +52,29 @@ std::string encode_resume(std::uint64_t epoch, std::uint64_t fp, VertexId v0,
   return os.str();
 }
 
-/// Parses a non-empty digit string; false on a foreign character or a value
-/// that does not fit 64 bits.
+/// Parses a non-empty digit string (lowercase hex for base 16); false on a
+/// foreign character or a value that does not fit 64 bits.
 bool parse_u64(const std::string& s, int base, std::uint64_t* out) {
-  if (s.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : s) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (base == 16 && c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    const auto b = static_cast<std::uint64_t>(base);
-    const auto d = static_cast<std::uint64_t>(digit);
-    if (value > (std::numeric_limits<std::uint64_t>::max() - d) / b) {
-      return false;
-    }
-    value = value * b + d;
+  const char* digits = base == 16 ? "0123456789abcdef" : "0123456789";
+  if (s.empty() || s.find_first_not_of(digits) != std::string::npos) {
+    return false;
   }
-  *out = value;
-  return true;
+  return std::from_chars(s.data(), s.data() + s.size(), *out, base).ec ==
+         std::errc();
 }
 
 bool decode_resume(const std::string& token, std::uint64_t epoch,
                    std::uint64_t fp, VertexId num_vertices, VertexId* v0,
                    std::uint64_t* skip, std::uint64_t* total,
                    std::string* error) {
-  std::vector<std::string> fields;
-  std::string cur;
+  std::vector<std::string> fields(1);
   for (const char c : token) {
     if (c == '.') {
-      fields.push_back(cur);
-      cur.clear();
+      fields.emplace_back();
     } else {
-      cur.push_back(c);
+      fields.back().push_back(c);
     }
   }
-  fields.push_back(cur);
 
   const auto malformed = [&] {
     *error =
@@ -133,11 +117,11 @@ bool decode_resume(const std::string& token, std::uint64_t epoch,
 
 }  // namespace
 
-struct GraphSession::StreamState {
+struct QueryPath::StreamState {
   StreamState(stream::SequencerConfig seq_cfg, const CancelToken* tok)
       : seq(seq_cfg, tok) {}
 
-  GraphSession* session = nullptr;  // null for rejected (pre-terminal) streams
+  QueryPath* path = nullptr;  // set on admission; null for refused streams
   QueryRequest req;
   StreamOptions opts;
   std::shared_ptr<CancelToken> token;
@@ -180,111 +164,78 @@ struct GraphSession::StreamState {
   QueryResult result;
 };
 
-std::unique_ptr<EmbeddingStream> GraphSession::reject_stream(
-    EngineKind engine, QueryStatus status, std::string error) {
-  (status == QueryStatus::kOverloaded ? queries_rejected_ : queries_failed_)
-      .inc();
-  auto token = std::make_shared<CancelToken>();
-  auto st = std::make_shared<StreamState>(stream::SequencerConfig{},
-                                          token.get());
-  st->token = std::move(token);
-  st->req.engine = engine;
+std::unique_ptr<EmbeddingStream> QueryPath::refuse_stream(
+    std::shared_ptr<StreamState> st, QueryStatus status, std::string error) {
+  if (status != QueryStatus::kOverloaded) queries_admitted_.inc();
+  st->snap.reset();  // pins no version and issues no resume token
   st->seq.abort(status, error);
-  QueryResult r;
-  r.status = r.stats.status = status;
-  r.served_by = engine;
-  r.attempts = 0;
-  r.error = std::move(error);
-  st->result = std::move(r);
+  st->result = refused(st->req.engine, status, std::move(error));
+  settle(st->token, st->result);
   st->finalized.store(true, std::memory_order_release);
   std::call_once(st->finalize_once, [] {});  // later finalize() is a no-op
   return std::unique_ptr<EmbeddingStream>(new EmbeddingStream(std::move(st)));
 }
 
-std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
-  queries_submitted_.inc();
+std::unique_ptr<EmbeddingStream> QueryPath::open_stream(StreamRequest req) {
+  stream::SequencerConfig seq_cfg;
+  seq_cfg.max_buffered = std::max<std::size_t>(1, req.stream.max_buffered);
+  auto token = std::make_shared<CancelToken>();
+  auto st = std::make_shared<StreamState>(seq_cfg, token.get());
+  st->token = std::move(token);
+  st->req = std::move(req.query);
+  st->opts = std::move(req.stream);
+  start(st->token);
 
-  const EngineConfig& sc = req.query.simt;
-  if (req.query.host.v_begin != 0 || sc.v_begin != 0 || sc.v_end != 0 ||
+  const EngineConfig& sc = st->req.simt;
+  if (st->req.host.v_begin != 0 || sc.v_begin != 0 || sc.v_end != 0 ||
       sc.v_stride != 1 || sc.pin_v1 != kNoVertex) {
-    return reject_stream(
-        req.query.engine, QueryStatus::kInvalidArgument,
+    return refuse_stream(
+        st, QueryStatus::kInvalidArgument,
         "stream requests must leave the engine outer-loop range knobs "
         "(host.v_begin, simt.v_begin/v_end/v_stride/pin_v1) at their "
         "defaults; the stream cursor owns them");
   }
 
-  const std::shared_ptr<const GraphSnapshot> snap = dyn_.snapshot();
-  const std::uint64_t fp = stream_fingerprint(req.query);
-
-  VertexId start_v0 = 0;
-  std::uint64_t skip = 0;
-  std::uint64_t resumed_total = 0;
-  if (!req.stream.resume_token.empty()) {
-    std::string err;
-    if (!decode_resume(req.stream.resume_token, snap->epoch(), fp,
-                       snap->num_vertices(), &start_v0, &skip, &resumed_total,
-                       &err)) {
-      return reject_stream(req.query.engine, QueryStatus::kInvalidArgument,
-                           std::move(err));
-    }
+  st->snap = graph_.snapshot();
+  st->fingerprint = stream_fingerprint(st->req);
+  std::string err;
+  if (!st->opts.resume_token.empty() &&
+      !decode_resume(st->opts.resume_token, st->snap->epoch(), st->fingerprint,
+                     st->snap->num_vertices(), &st->start_v0, &st->skip_left,
+                     &st->resumed_total, &err)) {
+    return refuse_stream(st, QueryStatus::kInvalidArgument, std::move(err));
   }
-
-  bool cache_hit = false;
-  std::shared_ptr<const MatchingPlan> plan;
   try {
-    plan = plan_cache_.get_or_compile(req.query.pattern, req.query.plan,
-                                      snap->epoch(), &cache_hit);
+    st->plan = plans_.get_or_compile(st->req.pattern, st->req.plan,
+                                     &st->plan_cache_hit);
   } catch (const check_error& e) {
-    return reject_stream(req.query.engine, QueryStatus::kInvalidArgument,
-                         e.what());
+    return refuse_stream(st, QueryStatus::kInvalidArgument, e.what());
   }
 
-  auto token = std::make_shared<CancelToken>();
-  const double deadline = effective_deadline_ms(req.query.deadline_ms);
-  if (deadline > 0.0) token->set_deadline_ms(deadline);
-
-  stream::SequencerConfig seq_cfg;
-  seq_cfg.max_buffered = std::max<std::size_t>(1, req.stream.max_buffered);
-  auto st = std::make_shared<StreamState>(seq_cfg, token.get());
-  st->session = this;
-  st->req = std::move(req.query);
-  st->opts = std::move(req.stream);
-  st->token = std::move(token);
-  st->deadline_ms = deadline;
-  st->snap = snap;
-  st->plan = std::move(plan);
-  st->plan_cache_hit = cache_hit;
-  st->fingerprint = fp;
+  st->deadline_ms = effective_deadline_ms(st->req.deadline_ms);
+  if (st->deadline_ms > 0.0) st->token->set_deadline_ms(st->deadline_ms);
   st->order = matching_order(st->req.pattern);
-  st->start_v0 = start_v0;
-  st->skip_left = skip;
-  st->cursor_v0 = start_v0;
-  st->cursor_skip = skip;
-  st->resumed_total = resumed_total;
+  st->cursor_v0 = st->start_v0;
+  st->cursor_skip = st->skip_left;
   st->pipe = std::make_unique<stream::EmitPipeline>(st->seq, st->order,
                                                     st->opts.emit_fault);
-
   {
     std::lock_guard<std::mutex> lock(streams_mu_);
     if (shutting_down_) {
-      return reject_stream(st->req.engine, QueryStatus::kCancelled,
+      return refuse_stream(st, QueryStatus::kCancelled,
                            "stream rejected: the session is shutting down");
     }
     if (cfg_.max_open_streams > 0 &&
         live_streams_.size() >= cfg_.max_open_streams) {
-      return reject_stream(
-          st->req.engine, QueryStatus::kOverloaded,
+      return refuse_stream(
+          st, QueryStatus::kOverloaded,
           "stream admission rejected: " + std::to_string(live_streams_.size()) +
               " of " + std::to_string(cfg_.max_open_streams) +
               " stream slots are open");
     }
+    st->path = this;
     live_streams_.insert(st);
     open_streams_.set(static_cast<double>(live_streams_.size()));
-  }
-  {
-    std::lock_guard<std::mutex> lock(tokens_mu_);
-    active_tokens_.insert(st->token);
   }
   queries_admitted_.inc();
 
@@ -292,7 +243,7 @@ std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
   return std::unique_ptr<EmbeddingStream>(new EmbeddingStream(std::move(st)));
 }
 
-void GraphSession::run_stream(const std::shared_ptr<StreamState>& st) {
+void QueryPath::run_stream(const std::shared_ptr<StreamState>& st) {
   QueryStats stats;
   std::string error;
   try {
@@ -325,7 +276,21 @@ void GraphSession::run_stream(const std::shared_ptr<StreamState>& st) {
   st->seq.finish(stats.status, std::move(error));
 }
 
-void GraphSession::finalize_stream(const std::shared_ptr<StreamState>& st) {
+QueryPath::~QueryPath() {
+  std::vector<std::shared_ptr<StreamState>> live;
+  {
+    std::lock_guard<std::mutex> lock(streams_mu_);
+    // From here on open_stream refuses (kCancelled) instead of admitting:
+    // the flag and the sweep snapshot change under one lock, so a stream
+    // racing this destructor is either in `live` (and swept below) or was
+    // never admitted — it cannot slip in between and outlive the session.
+    shutting_down_ = true;
+    live.assign(live_streams_.begin(), live_streams_.end());
+  }
+  for (const auto& st : live) finalize_stream(st);
+}
+
+void QueryPath::finalize_stream(const std::shared_ptr<StreamState>& st) {
   std::call_once(st->finalize_once, [&st] {
     // Stop the producer side (no-ops when the stream already ended) and wait
     // for it: engine_stats and the sequencer's terminal state settle here.
@@ -360,14 +325,12 @@ void GraphSession::finalize_stream(const std::shared_ptr<StreamState>& st) {
       r.stats = st->engine_stats;
     }
     r.stats.status = r.status;
-    if (st->pipe != nullptr) {
-      r.stats.faults_injected += st->pipe->faults_injected();
-    }
+    r.stats.faults_injected += st->pipe->faults_injected();
     r.count = st->delivered;
     r.served_by = st->req.engine;
     r.attempts = 1;
     r.plan_cache_hit = st->plan_cache_hit;
-    r.graph_epoch = st->snap != nullptr ? st->snap->epoch() : 0;
+    r.graph_epoch = st->snap->epoch();
     r.total_ms = st->since_open.elapsed_ms();
     if (!r.ok() && r.error.empty()) {
       // Every non-kOk stream result carries a detail string — including a
@@ -378,36 +341,25 @@ void GraphSession::finalize_stream(const std::shared_ptr<StreamState>& st) {
     st->result = std::move(r);
     st->finalized.store(true, std::memory_order_release);
 
-    GraphSession* s = st->session;
-    if (s != nullptr) {
-      s->stream_emitted_total_.inc(st->pipe->emitted());
-      s->stream_backpressure_ms_.observe(st->seq.stall_ms());
-      s->faults_injected_total_.inc(st->result.stats.faults_injected);
-      s->recovery_units_total_.inc(st->result.stats.units_recovered);
-      (st->result.ok() ? s->queries_completed_ : s->queries_failed_).inc();
-      {
-        std::lock_guard<std::mutex> lock(s->tokens_mu_);
-        s->active_tokens_.erase(st->token);
-      }
-      {
-        std::lock_guard<std::mutex> lock(s->streams_mu_);
-        s->live_streams_.erase(st);
-        s->open_streams_.set(static_cast<double>(s->live_streams_.size()));
-      }
-    }
+    QueryPath* p = st->path;
+    p->stream_emitted_total_.inc(st->pipe->emitted());
+    p->stream_backpressure_ms_.observe(st->seq.stall_ms());
+    p->settle(st->token, st->result);
+    std::lock_guard<std::mutex> lock(p->streams_mu_);
+    p->live_streams_.erase(st);
+    p->open_streams_.set(static_cast<double>(p->live_streams_.size()));
   });
 }
 
-EmbeddingStream::EmbeddingStream(
-    std::shared_ptr<GraphSession::StreamState> st)
+EmbeddingStream::EmbeddingStream(std::shared_ptr<QueryPath::StreamState> st)
     : st_(std::move(st)) {}
 
 EmbeddingStream::~EmbeddingStream() { finalize(); }
 
-void EmbeddingStream::finalize() { GraphSession::finalize_stream(st_); }
+void EmbeddingStream::finalize() { QueryPath::finalize_stream(st_); }
 
 bool EmbeddingStream::next(Embedding* out) {
-  GraphSession::StreamState& st = *st_;
+  QueryPath::StreamState& st = *st_;
   if (st.finalized.load(std::memory_order_acquire) || st.limit_reached) {
     return false;
   }
@@ -450,8 +402,8 @@ const QueryResult& EmbeddingStream::result() {
 }
 
 std::string EmbeddingStream::resume_token() const {
-  const GraphSession::StreamState& st = *st_;
-  if (st.snap == nullptr) return std::string();  // rejected stream
+  const QueryPath::StreamState& st = *st_;
+  if (st.snap == nullptr) return std::string();  // refused stream
   if (st.finalized.load(std::memory_order_acquire) && st.result.ok() &&
       !st.limit_reached) {
     return std::string();  // exhausted: there is nothing to resume to
@@ -467,6 +419,10 @@ void EmbeddingStream::cancel() {
 }
 
 std::uint64_t EmbeddingStream::delivered() const { return st_->delivered; }
+
+std::unique_ptr<EmbeddingStream> GraphSession::open_stream(StreamRequest req) {
+  return queries_.open_stream(std::move(req));
+}
 
 TopKResult GraphSession::top_k(const QueryRequest& req,
                                const TopKOptions& opts) {

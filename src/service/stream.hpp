@@ -103,11 +103,11 @@ class EmbeddingStream {
   std::uint64_t delivered() const;
 
  private:
-  friend class GraphSession;
-  explicit EmbeddingStream(std::shared_ptr<GraphSession::StreamState> st);
+  friend class QueryPath;
+  explicit EmbeddingStream(std::shared_ptr<QueryPath::StreamState> st);
   void finalize();
 
-  std::shared_ptr<GraphSession::StreamState> st_;
+  std::shared_ptr<QueryPath::StreamState> st_;
 };
 
 /// One scored embedding of a top-k result.

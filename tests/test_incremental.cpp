@@ -1,6 +1,6 @@
 // Tests for incremental (delta) pattern matching and its service wiring:
-// randomized differential against full re-enumeration, epoch-keyed plan
-// caching, and standing queries.
+// randomized differential against full re-enumeration, plan reuse across
+// graph epochs, and standing queries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/reference.hpp"
+#include "core/host_engine.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
@@ -176,25 +177,33 @@ TEST(IncrementalMatcher, KnownTriangleDeltas) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-keyed plan cache
+// Plans across graph epochs
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalPlanCache, EpochForcesRecompile) {
+// A plan is a pure function of (pattern, options): the cache serves the same
+// plan at every epoch, and it stays exact on every mutated version.
+TEST(IncrementalPlanCache, PlanIsReusedAcrossEpochs) {
   PlanCache cache(8);
   const Pattern triangle = Pattern::parse("0-1,1-2,2-0");
+  MutableGraph g(make_erdos_renyi(30, 0.2, 4));
+  Rng rng(11);
   bool hit = true;
-  cache.get_or_compile(triangle, {}, /*epoch=*/0, &hit);
+  const auto first = cache.get_or_compile(triangle, {}, &hit);
   EXPECT_FALSE(hit);
-  cache.get_or_compile(triangle, {}, /*epoch=*/0, &hit);
-  EXPECT_TRUE(hit);
-  // A mutation bumps the epoch: the cached plan must not be served.
-  cache.get_or_compile(triangle, {}, /*epoch=*/1, &hit);
-  EXPECT_FALSE(hit);
-  cache.get_or_compile(triangle, {}, /*epoch=*/1, &hit);
-  EXPECT_TRUE(hit);
+  for (int b = 0; b < 4; ++b) {
+    const ApplyResult applied = g.apply(random_batch(*g.snapshot(), rng, 12));
+    ASSERT_EQ(applied.snapshot->epoch(), static_cast<std::uint64_t>(b + 1));
+    const auto plan = cache.get_or_compile(triangle, {}, &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(plan, first);
+    EXPECT_EQ(host_match(applied.snapshot->view(), *plan).count,
+              reference_count(applied.snapshot->view(), triangle, {}));
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(IncrementalPlanCache, SessionRecompilesAfterUpdate) {
+TEST(IncrementalPlanCache, SessionReusesPlanAfterUpdate) {
   GraphSession session(make_erdos_renyi(30, 0.2, 4));
   QueryRequest req;
   req.pattern = Pattern::parse("0-1,1-2,2-0");
@@ -209,7 +218,8 @@ TEST(IncrementalPlanCache, SessionRecompilesAfterUpdate) {
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2.plan_cache_hit);
 
-  // Mutate, re-query: the epoch key must force a recompile.
+  // Mutate, re-query: the plan reads no graph, so it is served from the
+  // cache, and the count is exact on the new version.
   UpdateBatch batch;
   batch.insertions = {{0, 1}, {0, 2}, {1, 2}};
   batch.deletions = {};
@@ -219,10 +229,11 @@ TEST(IncrementalPlanCache, SessionRecompilesAfterUpdate) {
 
   QueryResult r3 = session.run(req);
   ASSERT_TRUE(r3.ok());
-  EXPECT_FALSE(r3.plan_cache_hit);
+  EXPECT_TRUE(r3.plan_cache_hit);
   EXPECT_EQ(r3.graph_epoch, out.epoch);
   EXPECT_EQ(r3.count, reference_count(session.snapshot()->view(), req.pattern,
                                       {}));
+  EXPECT_EQ(session.plan_cache().stats().misses, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -620,6 +620,35 @@ TEST(PersistSession, NoopAndFailedBatchesAreNotLogged) {
   EXPECT_TRUE(persist::read_wal(wal_file(dir2.str())).records.empty());
 }
 
+// A batch whose effective delta is empty publishes nothing: it must not
+// count as an applied batch nor advance the checkpoint cadence (each
+// install writes, fsyncs and renames a full compacted CSR).
+TEST(PersistSession, NoopBatchesNeitherCountNorCheckpoint) {
+  ScopedDir dir("noop-cadence");
+  SessionConfig cfg = persist_cfg(dir.str());
+  cfg.persistence.checkpoint_every_batches = 4;
+  const Graph g = seed_graph();
+  GraphSession s(g, cfg);
+  MetricsRegistry& m = s.metrics();
+  ASSERT_EQ(m.counter("checkpoints_written").value(), 1u);  // bootstrap
+  UpdateBatch existing;
+  existing.insertions = {{0, g.neighbors(0)[0]}};
+  for (int k = 0; k < 8; ++k) {
+    const UpdateOutcome out = s.apply_updates(existing);
+    ASSERT_TRUE(out.ok());
+    EXPECT_TRUE(out.applied.empty());
+    EXPECT_EQ(out.epoch, 0u);
+  }
+  EXPECT_EQ(s.epoch(), 0u);
+  EXPECT_EQ(m.counter("updates_applied").value(), 0u);
+  EXPECT_EQ(m.counter("wal_appended_bytes_total").value(), 0u);
+  EXPECT_EQ(m.counter("checkpoints_written").value(), 1u);
+  // A real batch still counts, and the cadence starts from zero.
+  ASSERT_EQ(s.apply_updates(make_batch(0, 60)).epoch, 1u);
+  EXPECT_EQ(m.counter("updates_applied").value(), 1u);
+  EXPECT_EQ(m.counter("checkpoints_written").value(), 1u);
+}
+
 TEST(PersistSession, WalExhaustionFailsTheBatchClosed) {
   ScopedDir dir("wal-closed");
   SessionConfig cfg = persist_cfg(dir.str());

@@ -511,6 +511,57 @@ TEST(StreamAdmission, MaxOpenStreamsShedsWithOverloaded) {
   EXPECT_EQ(session.metrics().gauge("open_streams").value(), 0.0);
 }
 
+// DESIGN.md §8's identities hold across every way a stream can end: only
+// an overloaded stream counts as rejected; any other refusal counts as
+// admitted and failed, like an invalid count query.
+TEST(StreamAdmission, EveryOutcomeKeepsTheMetricIdentities) {
+  SessionConfig cfg;
+  cfg.max_open_streams = 1;
+  GraphSession session(make_clique(8), cfg);
+  MetricsRegistry& m = session.metrics();
+  const auto value = [&](const char* name) {
+    return m.counter(name).value();
+  };
+  const auto expect_identities = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(value("queries_submitted"),
+              value("queries_admitted") + value("queries_rejected"));
+    EXPECT_EQ(value("queries_admitted"),
+              value("queries_completed") + value("queries_failed"));
+  };
+
+  StreamRequest bad_token = stream_request(triangle());
+  bad_token.stream.resume_token = "garbage";
+  QueryResult r;
+  drain(session, bad_token, &r);
+  EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
+  expect_identities("bad resume token");
+
+  StreamRequest strided = stream_request(triangle(), EngineKind::kSimt);
+  strided.query.simt.v_stride = 2;
+  drain(session, strided, &r);
+  EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
+  expect_identities("range knob");
+
+  drain(session, stream_request(Pattern::parse("0-1,2-3")), &r);
+  EXPECT_EQ(r.status, QueryStatus::kInvalidArgument);
+  expect_identities("disconnected pattern");
+
+  {
+    auto held = session.open_stream(stream_request(triangle()));
+    drain(session, stream_request(triangle()), &r);
+    EXPECT_EQ(r.status, QueryStatus::kOverloaded);
+  }
+  expect_identities("max_open_streams overflow");
+
+  drain(session, stream_request(triangle()), &r);
+  EXPECT_EQ(r.status, QueryStatus::kOk);
+  expect_identities("drained stream");
+  EXPECT_EQ(value("queries_submitted"), 6u);
+  EXPECT_EQ(value("queries_rejected"), 1u);
+  EXPECT_EQ(value("queries_failed"), 4u);  // three refusals + the held close
+}
+
 TEST(StreamMetrics, CountersGaugesAndExports) {
   GraphSession session(make_erdos_renyi(40, 0.2, 3));
   QueryResult r;
