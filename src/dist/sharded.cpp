@@ -46,7 +46,9 @@ ShardedMatcher::ShardedMatcher(const Pattern& pattern,
     : pattern_(pattern), opts_(opts) {
   STM_CHECK_MSG(pattern_.size() >= 1, "pattern must have at least one vertex");
   if (opts_.plan.induced == Induced::kEdge && pattern_.size() >= 2)
-    enumerator_.emplace(pattern_, opts_.plan, opts_.anchor_engine, opts_.simt);
+    anchored_.emplace(pattern_, IncrementalOptions{opts_.plan,
+                                                   opts_.anchor_engine,
+                                                   opts_.simt});
 }
 
 ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
@@ -142,13 +144,13 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
 
   // --- Cut-edge anchor chunks --------------------------------------------
   // Checkpoint k = G_intra + all cut edges of chunks < k, built once,
-  // sequentially; a chunk's worker layers a transient DeltaOverlay on its
-  // checkpoint and counts after each of its own edges, realizing the prefix
-  // identity independently of scheduling order.
+  // sequentially; a chunk's worker runs the prefix walk over its checkpoint
+  // with its own edges as the inserted side, realizing the prefix identity
+  // independently of scheduling order.
   const auto& cut = partition.cut_edges;
   const std::uint32_t chunk_size = std::max<std::uint32_t>(1, opts_.cut_chunk_size);
   const std::size_t num_chunks =
-      enumerator_.has_value() ? (cut.size() + chunk_size - 1) / chunk_size : 0;
+      anchored_.has_value() ? (cut.size() + chunk_size - 1) / chunk_size : 0;
   std::vector<ChunkOutcome> chunks(num_chunks);
   std::optional<MutableGraph> intra;
   std::vector<std::shared_ptr<const GraphSnapshot>> checkpoints;
@@ -180,6 +182,8 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     ChunkOutcome& out = chunks[c];
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(cut.size(), lo + chunk_size);
+    DeltaEdges own;
+    own.inserted.assign(cut.begin() + lo, cut.begin() + hi);
     for (std::uint32_t a = 0; a < fault_cfg.max_unit_attempts; ++a) {
       ++out.attempts;
       if (cancel != nullptr && cancel->expired()) {
@@ -191,12 +195,11 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
         continue;
       std::uint64_t embeddings = 0;
       std::uint64_t runs = 0;
-      DeltaOverlay overlay(checkpoints[c]);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto& [u, v] = cut[i];
-        overlay.add_edge(u, v);
-        embeddings += enumerator_->count_containing(overlay.view(), u, v, &runs);
-      }
+      for_each_prefix_edge(checkpoints[c], own,
+                           [&](GraphView view, VertexId u, VertexId v, int) {
+                             embeddings += anchored_->count_containing(
+                                 view, u, v, &runs);
+                           });
       out.embeddings = embeddings;
       out.anchored_runs = runs;
       if (a > 0) ++out.units_recovered;
@@ -215,7 +218,7 @@ ShardedResult ShardedMatcher::match(GraphView g, const Partition& partition,
     for (std::size_t i = lo; i < hi; ++i) {
       const auto& [u, v] = cut[i];
       est += static_cast<double>(g.degree(u) + g.degree(v)) *
-             static_cast<double>(2 * enumerator_->num_anchors()) *
+             static_cast<double>(2 * anchored_->num_anchors()) *
              static_cast<double>(cost.wave_overhead);
     }
     scheduler.add({partition.cut_owner(cut[lo].first, cut[lo].second), est,

@@ -13,8 +13,9 @@
 // unchanged. The second term is the prefix inclusion–exclusion identity the
 // incremental matcher already uses for delta edges (every embedding missing
 // from G_intra contains at least one cut edge and is counted exactly once,
-// at the largest-index cut edge it contains), executed by the shared
-// AnchoredEnumerator. Anchored plans are always compiled in kEmbeddings
+// at the largest-index cut edge it contains), walked by
+// for_each_prefix_edge and counted by IncrementalMatcher::count_containing.
+// Anchored plans are always compiled in kEmbeddings
 // mode; for kUniqueSubgraphs the cut term is divided by |Aut(pattern)|
 // (cut-containing embeddings are closed under automorphisms). Vertex-induced
 // matching is rejected for more than one shard — an induced match can cross
@@ -22,8 +23,8 @@
 // same reason the incremental matcher rejects it.
 //
 // Cut edges are processed in chunks so the shard scheduler can steal them:
-// chunk k runs against a checkpoint snapshot (G_intra plus all edges of
-// chunks < k) plus a transient DeltaOverlay adding its own edges in order.
+// chunk k runs the prefix walk over a checkpoint snapshot (G_intra plus
+// all edges of chunks < k) with its own cut edges as the inserted side.
 // Chunks and shard-local runs are retryable units under the kShardFailure
 // fault site, keyed by unit identity with per-attempt incarnation bumps —
 // PR 2's recovery scheme, one level up.
@@ -128,14 +129,15 @@ class ShardedMatcher {
   const Pattern& pattern() const { return pattern_; }
   const ShardedOptions& options() const { return opts_; }
   std::uint64_t automorphisms() const {
-    return enumerator_ ? enumerator_->automorphisms() : 1;
+    return anchored_ ? anchored_->automorphisms() : 1;
   }
 
  private:
   Pattern pattern_;
   ShardedOptions opts_;
-  /// Null for single-vertex patterns and vertex-induced options.
-  std::optional<AnchoredEnumerator> enumerator_;
+  /// The cut-edge counter; null for single-vertex patterns and
+  /// vertex-induced options.
+  std::optional<IncrementalMatcher> anchored_;
 };
 
 /// Convenience one-shot wrapper: partitions `g`, compiles the local plan,

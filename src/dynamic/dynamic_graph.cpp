@@ -272,4 +272,20 @@ void DeltaOverlay::remove_edge(VertexId u, VertexId v) {
   sorted_erase(touch(v), u);
 }
 
+void for_each_prefix_edge(const std::shared_ptr<const GraphSnapshot>& from,
+                          const DeltaEdges& applied, const PrefixEdgeFn& fn) {
+  STM_CHECK(from != nullptr);
+  const auto walk = [&](const std::vector<EdgePair>& side, int sign) {
+    if (side.empty()) return;
+    DeltaOverlay overlay(from);
+    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
+    for (const auto& [u, v] : side) {
+      overlay.add_edge(u, v);
+      fn(overlay.view(), u, v, sign);
+    }
+  };
+  walk(applied.inserted, +1);
+  walk(applied.deleted, -1);
+}
+
 }  // namespace stm

@@ -184,11 +184,6 @@ class MutableGraph {
   /// FaultInjectedError after batch validation, before publication).
   void set_fault(const FaultConfig& cfg);
 
-  /// The storage policy snapshots are built under.
-  const storage::StoragePolicy& storage_policy() const {
-    return storage_policy_;
-  }
-
  private:
   std::shared_ptr<const Graph> seed_;
   storage::StoragePolicy storage_policy_;
@@ -227,5 +222,28 @@ class DeltaOverlay {
   std::vector<std::int32_t> slots_;
   std::vector<std::vector<VertexId>> lists_;
 };
+
+/// Receives one step of the prefix walk: the overlay view, the delta edge
+/// just added to it, and its polarity (+1 inserted side, -1 deleted side).
+using PrefixEdgeFn = std::function<void(GraphView, VertexId, VertexId, int)>;
+
+/// The prefix inclusion–exclusion walk behind every delta computation
+/// (incremental counts and embeddings, the multi-query evaluator, the
+/// sharded cut term). Let G_old = `from`, G_new = G_old + applied and
+/// G_common = G_old minus the deleted edges = G_new minus the inserted
+/// ones. The walk adds the inserted edges d_1..d_m to G_common one at a
+/// time and calls fn(G_common + {d_1..d_i}, d_i, +1), then does the same
+/// over the deleted edges r_1..r_j with sign -1. Summing "matches
+/// containing d_i" over the inserted side gives
+/// count(G_new) - count(G_common): every match of G_new that is not a match
+/// of G_common contains at least one inserted edge and is counted exactly
+/// once, at the largest-index inserted edge it contains (earlier prefixes
+/// miss that edge, later steps only count matches containing *their*
+/// newest edge). The deleted side gives count(G_old) - count(G_common), and
+/// the difference of the two sums is the exact delta, with no per-embedding
+/// filtering. A side with no edges builds no overlay. `applied` need not be normalized, but every inserted edge must
+/// be absent from and every deleted edge present in `from`.
+void for_each_prefix_edge(const std::shared_ptr<const GraphSnapshot>& from,
+                          const DeltaEdges& applied, const PrefixEdgeFn& fn);
 
 }  // namespace stm

@@ -52,12 +52,10 @@ bool label_ok(GraphView g, std::uint64_t mask, VertexId v) {
 
 }  // namespace
 
-AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
-                                       const PlanOptions& base,
-                                       DeltaEngine engine,
-                                       const EngineConfig& simt)
-    : pattern_(pattern), engine_(engine), simt_(simt) {
-  STM_CHECK_MSG(base.induced == Induced::kEdge,
+IncrementalMatcher::IncrementalMatcher(const Pattern& pattern,
+                                       IncrementalOptions opts)
+    : pattern_(pattern), opts_(opts) {
+  STM_CHECK_MSG(opts_.plan.induced == Induced::kEdge,
                 "anchored enumeration supports edge-induced semantics only: "
                 "a vertex-induced match can change without containing the "
                 "anchor edge");
@@ -67,7 +65,7 @@ AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
   // kEmbeddings mode: symmetry-breaking constraints assume the engine's own
   // vertex order and would miscount under a forced anchor. Subgraph counts
   // are recovered by dividing aggregated embeddings by |Aut(pattern)|.
-  PlanOptions anchor_opts = base;
+  PlanOptions anchor_opts = opts_.plan;
   anchor_opts.count_mode = CountMode::kEmbeddings;
   for (std::size_t a = 0; a < pattern_.size(); ++a)
     for (std::size_t b = a + 1; b < pattern_.size(); ++b)
@@ -78,111 +76,57 @@ AnchoredEnumerator::AnchoredEnumerator(const Pattern& pattern,
         anchor_perms_.push_back(std::move(perm));
       }
 
-  if (base.count_mode == CountMode::kUniqueSubgraphs) {
+  if (opts_.plan.count_mode == CountMode::kUniqueSubgraphs) {
     automorphisms_ = stm::automorphisms(pattern_).size();
   }
 }
 
-std::uint64_t AnchoredEnumerator::count_containing(GraphView g, VertexId u,
+template <class Fn>
+void IncrementalMatcher::for_each_seed(GraphView g, VertexId u, VertexId v,
+                                       std::uint64_t* runs, Fn&& fn) const {
+  for (std::size_t a = 0; a < anchors_.size(); ++a) {
+    const MatchingPlan& plan = anchors_[a];
+    const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
+    for (const auto& [s0, s1] : seeds) {
+      if (!label_ok(g, plan.exact_mask(0), s0) ||
+          !label_ok(g, plan.exact_mask(1), s1))
+        continue;
+      ++*runs;
+      fn(a, s0, s1);
+    }
+  }
+}
+
+std::uint64_t IncrementalMatcher::count_containing(GraphView g, VertexId u,
                                                    VertexId v,
                                                    std::uint64_t* runs) const {
   std::uint64_t total = 0;
-  for (const MatchingPlan& plan : anchors_) {
-    const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
-    for (const auto& [s0, s1] : seeds) {
-      if (!label_ok(g, plan.exact_mask(0), s0) ||
-          !label_ok(g, plan.exact_mask(1), s1))
-        continue;
-      ++*runs;
-      if (engine_ == DeltaEngine::kHost) {
-        total += recursive_count_seed(g, plan, s0, s1);
-      } else {
-        EngineConfig cfg = simt_;
-        cfg.v_begin = s0;
-        cfg.v_end = s0 + 1;
-        cfg.v_stride = 1;
-        cfg.pin_v1 = s1;
-        total += stmatch_match(g, plan, cfg).count;
-      }
+  for_each_seed(g, u, v, runs, [&](std::size_t a, VertexId s0, VertexId s1) {
+    if (opts_.engine == DeltaEngine::kHost) {
+      total += recursive_count_seed(g, anchors_[a], s0, s1);
+    } else {
+      EngineConfig cfg = opts_.simt;
+      cfg.v_begin = s0;
+      cfg.v_end = s0 + 1;
+      cfg.v_stride = 1;
+      cfg.pin_v1 = s1;
+      total += stmatch_match(g, anchors_[a], cfg).count;
     }
-  }
+  });
   return total;
 }
-
-std::uint64_t AnchoredEnumerator::enumerate_containing(
-    GraphView g, VertexId u, VertexId v, const AnchoredVisitor& visit,
-    std::uint64_t* runs) const {
-  std::uint64_t total = 0;
-  const std::size_t k = pattern_.size();
-  std::vector<VertexId> orig(k);
-  for (std::size_t a = 0; a < anchors_.size(); ++a) {
-    const MatchingPlan& plan = anchors_[a];
-    const auto& perm = anchor_perms_[a];
-    const EmbeddingVisitor emit = [&](const std::vector<VertexId>& mapping) {
-      for (std::size_t i = 0; i < k; ++i) orig[perm[i]] = mapping[i];
-      visit(orig);
-      return true;
-    };
-    const std::pair<VertexId, VertexId> seeds[2] = {{u, v}, {v, u}};
-    for (const auto& [s0, s1] : seeds) {
-      if (!label_ok(g, plan.exact_mask(0), s0) ||
-          !label_ok(g, plan.exact_mask(1), s1))
-        continue;
-      ++*runs;
-      total += recursive_enumerate_seed(g, plan, s0, s1, emit);
-    }
-  }
-  return total;
-}
-
-IncrementalMatcher::IncrementalMatcher(const Pattern& pattern,
-                                       IncrementalOptions opts)
-    : opts_(opts),
-      enumerator_(pattern, opts.plan, opts.engine, opts.simt) {}
 
 DeltaMatchResult IncrementalMatcher::count_delta(
     const std::shared_ptr<const GraphSnapshot>& from,
     const DeltaEdges& applied) const {
-  STM_CHECK(from != nullptr);
   DeltaMatchResult result;
   result.delta_edges = applied.size();
-  if (applied.empty()) return result;
-
-  // Let G_old = `from`, G_new = G_old + applied, and
-  // G_common = G_old \ deleted = G_new \ inserted. Adding the inserted
-  // edges d_1..d_m to G_common one at a time,
-  //   count(G_new) - count(G_common) = sum_i |matches containing d_i in
-  //                                           G_common + {d_1..d_i}|
-  // because every match of G_new that is not a match of G_common contains
-  // at least one inserted edge and is counted exactly once: at the
-  // largest-index inserted edge it contains (earlier prefixes miss that
-  // edge, later prefixes only count matches containing *their* newest
-  // edge). The same identity over the deleted edges r_1..r_j gives
-  // count(G_old) - count(G_common), and the difference of the two sums is
-  // the exact delta — inclusion–exclusion realized by prefix construction,
-  // with no per-embedding filtering.
-  std::int64_t plus = 0;
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.inserted) {
-      overlay.add_edge(u, v);
-      plus += static_cast<std::int64_t>(enumerator_.count_containing(
-          overlay.view(), u, v, &result.anchored_runs));
-    }
-  }
-  std::int64_t minus = 0;
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.deleted) {
-      overlay.add_edge(u, v);
-      minus += static_cast<std::int64_t>(enumerator_.count_containing(
-          overlay.view(), u, v, &result.anchored_runs));
-    }
-  }
-
-  std::int64_t delta = plus - minus;
+  std::int64_t delta = 0;
+  for_each_prefix_edge(
+      from, applied, [&](GraphView g, VertexId u, VertexId v, int sign) {
+        delta += sign * static_cast<std::int64_t>(
+                            count_containing(g, u, v, &result.anchored_runs));
+      });
   if (opts_.plan.count_mode == CountMode::kUniqueSubgraphs) {
     const auto aut = static_cast<std::int64_t>(automorphisms());
     STM_CHECK_MSG(delta % aut == 0,
@@ -192,6 +136,35 @@ DeltaMatchResult IncrementalMatcher::count_delta(
   }
   result.delta = delta;
   return result;
+}
+
+EmbeddingDelta IncrementalMatcher::embedding_delta(
+    const std::shared_ptr<const GraphSnapshot>& from,
+    const DeltaEdges& applied) const {
+  STM_CHECK_MSG(opts_.plan.count_mode == CountMode::kEmbeddings,
+                "embedding deltas require kEmbeddings count mode");
+  EmbeddingDelta out;
+  const std::size_t k = pattern_.size();
+  std::uint64_t runs = 0;
+  for_each_prefix_edge(
+      from, applied, [&](GraphView g, VertexId u, VertexId v, int sign) {
+        std::vector<Embedding>& into = sign > 0 ? out.added : out.retracted;
+        for_each_seed(g, u, v, &runs,
+                      [&](std::size_t a, VertexId s0, VertexId s1) {
+                        const auto& perm = anchor_perms_[a];
+                        recursive_enumerate_seed(
+                            g, anchors_[a], s0, s1,
+                            [&](const std::vector<VertexId>& mapping) {
+                              Embedding& orig = into.emplace_back(k);
+                              for (std::size_t i = 0; i < k; ++i)
+                                orig[perm[i]] = mapping[i];
+                              return true;
+                            });
+                      });
+      });
+  std::sort(out.added.begin(), out.added.end());
+  std::sort(out.retracted.begin(), out.retracted.end());
+  return out;
 }
 
 }  // namespace stm

@@ -1,15 +1,17 @@
 // Incremental (delta) pattern matching over graph snapshots.
 //
 // Given the version a batch was applied to and the effective delta edges,
-// IncrementalMatcher computes the exact change in the pattern's match count
-// without re-enumerating the whole graph. Enumeration is anchored on delta
-// edges only: every pattern edge takes a turn as the anchor (relabeled so
-// the anchor spans levels 0 and 1), and for each delta edge both seed
-// orientations run through the unmodified host or SIMT engine against a
-// prefix-hybrid overlay graph. Inclusion–exclusion over old/new adjacency
-// is realized by the prefix construction (see count_delta in the .cpp),
-// which counts every affected match exactly once — cumulative deltas agree
-// with full re-enumeration bit for bit.
+// IncrementalMatcher computes the exact change the batch causes — in the
+// match count (count_delta) or as the embeddings added and retracted
+// (embedding_delta) — without re-enumerating the whole graph. Enumeration
+// is anchored on delta edges only: every pattern edge takes a turn as the
+// anchor (relabeled so the anchor spans levels 0 and 1), and for each delta
+// edge both seed orientations run through the unmodified host or SIMT
+// engine against the prefix overlays of for_each_prefix_edge
+// (dynamic_graph.hpp), whose inclusion–exclusion counts every affected
+// match exactly once — cumulative deltas agree with full re-enumeration bit
+// for bit. count_containing is the same anchored count for one data edge;
+// the sharded coordinator (dist/) sums it over its cut edges.
 //
 // Unique-subgraph counts are derived from embedding deltas divided by the
 // pattern's automorphism count (symmetry-breaking constraints do not
@@ -19,11 +21,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/emit.hpp"
 #include "core/host_engine.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "pattern/pattern.hpp"
@@ -58,61 +60,16 @@ struct DeltaMatchResult {
   std::uint64_t delta_edges = 0;
 };
 
-/// Edge-anchored enumeration: counts the embeddings of a pattern that
-/// contain a given data edge. Every pattern edge takes a turn as the anchor
-/// (relabeled so the anchor spans levels 0 and 1), and for each data edge
-/// both seed orientations run through the unmodified host or SIMT engine.
-/// Plans are always compiled in kEmbeddings mode — symmetry breaking does
-/// not commute with a forced anchor — so callers counting unique subgraphs
-/// divide aggregated totals by automorphisms().
-///
-/// Shared by IncrementalMatcher (anchors = delta edges) and the sharded
-/// coordinator in dist/ (anchors = cut edges): both realize the same
-/// prefix inclusion–exclusion identity over an ordered edge set.
-class AnchoredEnumerator {
- public:
-  /// Compiles one anchored plan per pattern edge. Throws check_error for
-  /// vertex-induced options or patterns with fewer than two vertices.
-  AnchoredEnumerator(const Pattern& pattern, const PlanOptions& base,
-                     DeltaEngine engine = DeltaEngine::kHost,
-                     const EngineConfig& simt = {});
-
-  /// Embeddings containing data edge (u, v) in `g`, summed over all anchors
-  /// and both orientations. Increments *runs per engine invocation issued
-  /// (label-pruned seeds are skipped).
-  std::uint64_t count_containing(GraphView g, VertexId u, VertexId v,
-                                 std::uint64_t* runs) const;
-
-  /// Receives one embedding in *original pattern vertex order*:
-  /// embedding[i] = data vertex matched to pattern vertex i.
-  using AnchoredVisitor = std::function<void(const std::vector<VertexId>&)>;
-
-  /// Enumerates (rather than counts) the embeddings containing (u, v). Each
-  /// such embedding is visited exactly once — an injective map puts exactly
-  /// one pattern edge onto the data edge, so exactly one (anchor,
-  /// orientation) pair finds it. Enumeration always rides the seeded host
-  /// recursion regardless of the configured DeltaEngine (the engines agree
-  /// bit-exactly; recursion is the one with a visitor). Backs the
-  /// standing-query delta streams.
-  std::uint64_t enumerate_containing(GraphView g, VertexId u, VertexId v,
-                                     const AnchoredVisitor& visit,
-                                     std::uint64_t* runs) const;
-
-  /// |Aut(pattern)| — the embeddings-per-subgraph factor (1 unless the base
-  /// options requested kUniqueSubgraphs).
-  std::uint64_t automorphisms() const { return automorphisms_; }
-  std::size_t num_anchors() const { return anchors_.size(); }
-  const Pattern& pattern() const { return pattern_; }
-
- private:
-  Pattern pattern_;
-  DeltaEngine engine_;
-  EngineConfig simt_;
-  std::vector<MatchingPlan> anchors_;  // anchor edge at levels 0/1
-  /// anchor_perms_[a][i] = original pattern vertex at position i of anchored
-  /// plan a; inverts the anchor relabeling when emitting embeddings.
-  std::vector<std::vector<std::size_t>> anchor_perms_;
-  std::uint64_t automorphisms_ = 1;
+/// The embeddings one batch added and retracted, in original-pattern vertex
+/// order (embedding[i] = data vertex matched to pattern vertex i) and
+/// lexicographically sorted within each list — an order independent of the
+/// anchor iteration. The lists are disjoint: an effective delta never both
+/// deletes and inserts the same edge.
+struct EmbeddingDelta {
+  /// Embeddings present after the batch but not before.
+  std::vector<Embedding> added;
+  /// Embeddings present before the batch but not after.
+  std::vector<Embedding> retracted;
 };
 
 class IncrementalMatcher {
@@ -122,6 +79,13 @@ class IncrementalMatcher {
   explicit IncrementalMatcher(const Pattern& pattern,
                               IncrementalOptions opts = {});
 
+  /// Embeddings containing data edge (u, v) in `g`, summed over all anchors
+  /// and both orientations — always in kEmbeddings units; callers counting
+  /// unique subgraphs divide aggregated totals by automorphisms().
+  /// Increments *runs per engine invocation issued.
+  std::uint64_t count_containing(GraphView g, VertexId u, VertexId v,
+                                 std::uint64_t* runs) const;
+
   /// Exact match-count change caused by applying `applied` to the version
   /// `from` (i.e. count(from + applied) - count(from)). `applied` must be
   /// the effective delta as reported by MutableGraph::apply — normalized,
@@ -130,14 +94,41 @@ class IncrementalMatcher {
       const std::shared_ptr<const GraphSnapshot>& from,
       const DeltaEdges& applied) const;
 
-  const Pattern& pattern() const { return enumerator_.pattern(); }
+  /// The embedding-level change caused by the same batch (arguments as for
+  /// count_delta). Each changed embedding is enumerated exactly once: an
+  /// injective map puts exactly one pattern edge onto the delta edge it is
+  /// credited at, so exactly one (anchor, orientation) pair finds it.
+  /// Enumeration always rides the seeded host recursion, whatever the
+  /// configured DeltaEngine (the engines agree bit-exactly; the recursion
+  /// is the one with a visitor). Throws check_error unless the count mode
+  /// is kEmbeddings: a subgraph can have several embeddings, so retracting
+  /// "a subgraph" is ill-defined at embedding granularity.
+  EmbeddingDelta embedding_delta(
+      const std::shared_ptr<const GraphSnapshot>& from,
+      const DeltaEdges& applied) const;
+
+  const Pattern& pattern() const { return pattern_; }
   const IncrementalOptions& options() const { return opts_; }
-  /// |Aut(pattern)| — the embeddings-per-subgraph factor.
-  std::uint64_t automorphisms() const { return enumerator_.automorphisms(); }
+  /// |Aut(pattern)| — the embeddings-per-subgraph factor (1 unless the
+  /// options request kUniqueSubgraphs).
+  std::uint64_t automorphisms() const { return automorphisms_; }
+  std::size_t num_anchors() const { return anchors_.size(); }
 
  private:
+  /// Calls fn(anchor index, s0, s1) for every anchored plan and both seed
+  /// orientations of data edge (u, v) whose labels fit the anchor, counting
+  /// each call in *runs.
+  template <class Fn>
+  void for_each_seed(GraphView g, VertexId u, VertexId v, std::uint64_t* runs,
+                     Fn&& fn) const;
+
+  Pattern pattern_;
   IncrementalOptions opts_;
-  AnchoredEnumerator enumerator_;
+  std::vector<MatchingPlan> anchors_;  // anchor edge at levels 0/1
+  /// anchor_perms_[a][i] = original pattern vertex at position i of anchored
+  /// plan a; inverts the anchor relabeling when emitting embeddings.
+  std::vector<std::vector<std::size_t>> anchor_perms_;
+  std::uint64_t automorphisms_ = 1;
 };
 
 }  // namespace stm

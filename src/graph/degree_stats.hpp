@@ -41,8 +41,9 @@ struct ShardBalance {
   }
 };
 
-/// Balance report over an ownership vector — consumed by the shard
-/// scheduler's imbalance gauge and the tools/partition_info CLI.
+/// Balance report over an ownership vector — behind Partition::balance and
+/// the tools/partition_info CLI. (The session's shard_imbalance gauge is
+/// computed separately, by UpdatePath::rebuild_shards.)
 struct BalanceReport {
   std::vector<ShardBalance> shards;
   /// Distinct edges whose endpoints are owned by different shards.

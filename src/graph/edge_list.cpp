@@ -98,11 +98,4 @@ void write_edge_list(const Graph& g, std::ostream& out) {
   }
 }
 
-void save_edge_list(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  STM_CHECK_MSG(out.good(), "cannot open output file: " << path);
-  write_edge_list(g, out);
-  STM_CHECK_MSG(out.good(), "write failed: " << path);
-}
-
 }  // namespace stm

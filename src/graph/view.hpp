@@ -159,9 +159,6 @@ class GraphView {
     return total;
   }
 
-  /// The storage backend this view reads through (nullptr = raw CSR).
-  const AdjacencySource* adjacency_source() const { return source_; }
-
  private:
   bool overridden(VertexId v) const {
     return (inner_.active() && inner_.slots[v] >= 0) ||

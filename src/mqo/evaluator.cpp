@@ -157,14 +157,6 @@ class Walker {
 MultiQueryEvaluator::MultiQueryEvaluator(const PatternIndex& index)
     : index_(index), simd_(simd::kernels()) {}
 
-void MultiQueryEvaluator::accumulate(GraphView g, VertexId u, VertexId v,
-                                     int sign, EvalResult* out) const {
-  STM_CHECK(out != nullptr && out->groups.size() >= index_.num_group_slots());
-  STM_CHECK_MSG(g.has_edge(u, v), "delta edge must be present in the view");
-  Walker walker(index_, simd_, g, sign, out);
-  walker.walk_edge(u, v);
-}
-
 EvalResult MultiQueryEvaluator::evaluate(
     const std::shared_ptr<const GraphSnapshot>& from,
     const DeltaEdges& applied) const {
@@ -174,27 +166,15 @@ EvalResult MultiQueryEvaluator::evaluate(
   result.delta_edges = applied.size();
   if (applied.empty() || index_.empty()) return result;
 
-  // The per-pattern inclusion–exclusion, verbatim (see
-  // IncrementalMatcher::count_delta): walk the inserted edges over
-  // G_common + {d_1..d_i} crediting +1, the deleted edges over their own
-  // prefix overlays crediting -1. Each affected embedding of each group is
-  // credited exactly once, at the largest-index delta edge it contains.
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.inserted) {
-      overlay.add_edge(u, v);
-      accumulate(overlay.view(), u, v, +1, &result);
-    }
-  }
-  {
-    DeltaOverlay overlay(from);
-    for (const auto& [u, v] : applied.deleted) overlay.remove_edge(u, v);
-    for (const auto& [u, v] : applied.deleted) {
-      overlay.add_edge(u, v);
-      accumulate(overlay.view(), u, v, -1, &result);
-    }
-  }
+  // The per-pattern inclusion–exclusion, verbatim: each affected embedding
+  // of each group is credited exactly once, with the walk's polarity, at
+  // the largest-index delta edge it contains.
+  for_each_prefix_edge(
+      from, applied, [&](GraphView g, VertexId u, VertexId v, int sign) {
+        STM_CHECK_MSG(g.has_edge(u, v),
+                      "delta edge must be present in the view");
+        Walker(index_, simd_, g, sign, &result).walk_edge(u, v);
+      });
   return result;
 }
 

@@ -1,17 +1,16 @@
 // Single-pass batched-delta evaluation over the plan trie (DESIGN.md §16).
 //
 // MultiQueryEvaluator computes, in one shot, what the per-pattern loop
-// computes with one IncrementalMatcher/DeltaStreamer per standing query: the
-// exact per-query count and embedding deltas caused by one applied batch.
-// It rides the same prefix inclusion–exclusion identity (two DeltaOverlay
-// passes, one per delta-edge polarity; see IncrementalMatcher::count_delta),
-// but where the per-pattern loop issues |patterns| x |anchors| seeded
-// enumerations per delta edge, this evaluator issues ONE walk over the
-// PlanTrie per (delta edge, orientation): shared prefixes are extended once,
-// and enumeration fans out into per-group suffixes only at divergence nodes.
-// Arriving at a node credits every terminal attached to it — the anchored
-// plan of some pattern group completes there — so a single partial embedding
-// feeds every registered query it matches.
+// computes with one IncrementalMatcher per standing query: the exact
+// per-query count and embedding deltas caused by one applied batch. It
+// rides the same prefix inclusion–exclusion walk (for_each_prefix_edge in
+// dynamic_graph.hpp), but where the per-pattern loop issues |patterns| x
+// |anchors| seeded enumerations per delta edge, this evaluator issues ONE
+// walk over the PlanTrie per (delta edge, orientation): shared prefixes are
+// extended once, and enumeration fans out into per-group suffixes only at
+// divergence nodes. Arriving at a node credits every terminal attached to
+// it — the anchored plan of some pattern group completes there — so a
+// single partial embedding feeds every registered query it matches.
 //
 // Exactness: for a fixed data edge and pattern anchor, the number of
 // injective embeddings mapping the anchor onto the edge does not depend on
@@ -19,7 +18,7 @@
 // (plan_trie.hpp) may differ from the per-pattern planner's, yet both count
 // the same embedding set per (group, anchor, edge, orientation) — summed
 // over the batch the deltas agree bit for bit, which the harness MQO lane
-// asserts against IncrementalMatcher, DeltaStreamer, and full
+// asserts against IncrementalMatcher (counts and embedding deltas) and full
 // re-enumeration.
 #pragma once
 
@@ -41,14 +40,6 @@ class MultiQueryEvaluator {
   /// added/retracted embeddings collected, others only counted.
   EvalResult evaluate(const std::shared_ptr<const GraphSnapshot>& from,
                       const DeltaEdges& applied) const;
-
-  /// One edge's contribution: walks the trie for data edge (u, v) — both
-  /// orientations — over `g`, crediting counts (and embeddings for
-  /// collecting groups) into *out with polarity `sign` (+1 inserted-pass,
-  /// -1 deleted-pass). (u, v) must be an edge of `g`. Exposed for tests and
-  /// tools; evaluate() is the batch entry point.
-  void accumulate(GraphView g, VertexId u, VertexId v, int sign,
-                  EvalResult* out) const;
 
  private:
   const PatternIndex& index_;

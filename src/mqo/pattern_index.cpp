@@ -42,7 +42,7 @@ std::uint32_t PatternIndex::ensure_group(const Pattern& pattern,
   g.terminal_nodes.clear();
   g.occupied = true;
   // One anchored path per (unordered) representative edge — the exact
-  // anchor set of the per-pattern AnchoredEnumerator, so the shared walk
+  // anchor set of the per-pattern IncrementalMatcher, so the shared walk
   // issues the same per-(anchor, edge) contributions.
   for (std::size_t a = 0; a < g.rep.size(); ++a) {
     for (std::size_t b = a + 1; b < g.rep.size(); ++b) {
@@ -123,10 +123,6 @@ bool PatternIndex::wants_embeddings(std::uint64_t id) const {
   return regs_.at(id).wants_embeddings;
 }
 
-const Pattern& PatternIndex::pattern_of(std::uint64_t id) const {
-  return regs_.at(id).pattern;
-}
-
 CountMode PatternIndex::count_mode(std::uint64_t id) const {
   return regs_.at(id).mode;
 }
@@ -155,8 +151,8 @@ QueryDelta PatternIndex::project(std::uint64_t id,
 
   // Representative-order embedding ê (ê[i] = data vertex of rep vertex i)
   // maps to the registration's own order via rep vertex i = pattern vertex
-  // canon_perm[i]; lex-sorting afterwards matches DeltaStreamer's output
-  // order exactly.
+  // canon_perm[i]; lex-sorting afterwards matches
+  // IncrementalMatcher::embedding_delta's order exactly.
   const std::size_t k = reg.pattern.size();
   const auto remap = [&](const std::vector<Embedding>& in) {
     std::vector<Embedding> mapped;

@@ -14,8 +14,8 @@
 // back into an individual registration's terms: divide embeddings by
 // |Aut| for kUniqueSubgraphs, remap embeddings from representative vertex
 // order through the registration's canonical permutation, lex-sort — the
-// same numbers and lists the per-pattern IncrementalMatcher/DeltaStreamer
-// pipeline produces, bit for bit.
+// same numbers and lists the per-pattern IncrementalMatcher produces
+// (count_delta, embedding_delta), bit for bit.
 //
 // Not thread-safe; the owning session serializes access (service.cpp).
 #pragma once
@@ -105,7 +105,6 @@ class PatternIndex {
   /// |Aut| of the registration's pattern.
   std::uint64_t automorphisms(std::uint64_t id) const;
   bool wants_embeddings(std::uint64_t id) const;
-  const Pattern& pattern_of(std::uint64_t id) const;
   CountMode count_mode(std::uint64_t id) const;
 
   QueryDelta project(std::uint64_t id, const EvalResult& result) const;

@@ -114,9 +114,6 @@ class PersistenceManager {
   /// Sequence number the next checkpoint will get.
   std::uint64_t next_checkpoint_seq() const { return next_checkpoint_seq_; }
 
-  std::uint64_t wal_appended_bytes() const {
-    return wal_ != nullptr ? wal_->appended_bytes() : 0;
-  }
   std::uint64_t faults_injected() const {
     return (wal_ != nullptr ? wal_->faults_injected() : 0) +
            store_.faults_injected();

@@ -171,8 +171,8 @@ struct SessionConfig {
   /// directory holds (checkpoint load + WAL tail replay).
   persist::PersistenceConfig persistence;
   /// Standing-query evaluation mode (DESIGN.md §16, service/standing.hpp).
-  /// false: each registration runs its own IncrementalMatcher/DeltaStreamer
-  /// per batch (cost linear in registrations). true: ONE shared plan-trie
+  /// false: each registration runs its own IncrementalMatcher per batch
+  /// (cost linear in registrations). true: ONE shared plan-trie
   /// pass per batch serves every registration, bit-identically. Indexed
   /// evaluation enumerates on the host recursion (StandingQueryConfig::engine
   /// is recorded, not consulted).

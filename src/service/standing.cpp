@@ -5,7 +5,6 @@
 
 #include "core/host_engine.hpp"
 #include "mqo/evaluator.hpp"
-#include "stream/delta_stream.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -85,10 +84,6 @@ void StandingRegistry::install(std::uint64_t id, Query q) {
     inc.plan = q.cfg.plan;
     inc.engine = q.cfg.engine;
     q.matcher = std::make_shared<const IncrementalMatcher>(q.cfg.pattern, inc);
-    if (q.cfg.on_delta) {
-      q.streamer = std::make_shared<const stream::DeltaStreamer>(q.cfg.pattern,
-                                                                 q.cfg.plan);
-    }
   }
   queries_.insert_or_assign(id, std::move(q));
   publish_gauges();
@@ -132,12 +127,12 @@ void StandingRegistry::apply(const std::shared_ptr<const GraphSnapshot>& from,
         Timer one;
         d.delta = q.matcher->count_delta(from, applied).delta;
         count_ms = one.elapsed_ms();
-        if (q.streamer != nullptr) {
+        if (q.cfg.on_delta) {
           Timer emb;
-          stream::DeltaBatch db = q.streamer->delta(from, applied);
+          EmbeddingDelta ed = q.matcher->embedding_delta(from, applied);
           embed_ms = emb.elapsed_ms();
-          d.added = std::move(db.added);
-          d.retracted = std::move(db.retracted);
+          d.added = std::move(ed.added);
+          d.retracted = std::move(ed.retracted);
         }
       }
 

@@ -9,7 +9,8 @@
 //                    full host_match per registration.
 //   delta source     indexed: ONE MultiQueryEvaluator pass per batch, then
 //                    PatternIndex::project; per-pattern: each registration's
-//                    own IncrementalMatcher (+ DeltaStreamer for on_delta).
+//                    own IncrementalMatcher (count_delta, plus
+//                    embedding_delta for on_delta).
 //
 // Mutators must be serialized by the caller (the session's writer lock);
 // the readers (info, index_stats, manifest) may run concurrently. apply()
@@ -34,10 +35,6 @@
 #include "service/plan_cache.hpp"
 
 namespace stm {
-
-namespace stream {
-class DeltaStreamer;
-}
 
 /// Delivered to a standing query's subscriber (and collected into the
 /// UpdateOutcome) once per applied batch.
@@ -160,10 +157,8 @@ class StandingRegistry {
  private:
   struct Query {
     StandingQueryConfig cfg;
-    /// Per-pattern delta source (null in indexed mode); the streamer only
-    /// for embedding subscribers.
+    /// Per-pattern delta source (null in indexed mode).
     std::shared_ptr<const IncrementalMatcher> matcher;
-    std::shared_ptr<const stream::DeltaStreamer> streamer;
     std::uint64_t count = 0;
     std::uint64_t epoch = 0;
     std::uint64_t batches = 0;
@@ -174,8 +169,8 @@ class StandingRegistry {
   /// wall time of a full enumeration (0 when none ran).
   std::uint64_t baseline(const StandingQueryConfig& cfg,
                          const GraphSnapshot& snap, double* full_ms) const;
-  /// Delta source, per registration: builds its matcher/streamer or adds it
-  /// to the index, then stores it. Caller holds mu_.
+  /// Delta source, per registration: builds its matcher or adds it to the
+  /// index, then stores it. Caller holds mu_.
   void install(std::uint64_t id, Query q);
   static persist::StandingEntry entry(std::uint64_t id, const Query& q);
   /// Publishes the registration and index gauges. Caller holds mu_.

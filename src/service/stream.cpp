@@ -208,6 +208,16 @@ std::unique_ptr<EmbeddingStream> QueryPath::open_stream(StreamRequest req) {
   try {
     st->plan = plans_.get_or_compile(st->req.pattern, st->req.plan,
                                      &st->plan_cache_hit);
+    // The cache's canonical tier may serve a plan compiled from a renumbered
+    // isomorph: the same count, but a different order and plan positions
+    // that matching_order(req.pattern) below would map to the wrong
+    // vertices. A stream is a pure function of its own pattern, so it
+    // compiles that pattern's plan instead.
+    const Pattern own = reorder_for_matching(st->req.pattern);
+    if (!(st->plan->pattern() == own)) {
+      st->plan = std::make_shared<const MatchingPlan>(own, st->req.plan);
+      st->plan_cache_hit = false;
+    }
   } catch (const check_error& e) {
     return refuse_stream(st, QueryStatus::kInvalidArgument, e.what());
   }

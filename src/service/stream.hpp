@@ -13,7 +13,11 @@
 // Each embedding is in *original pattern vertex order*: embedding[i] is the
 // data vertex matched to pattern vertex i, as the caller wrote the pattern
 // (the engine-internal matching order is remapped away at the emission
-// pipeline).
+// pipeline). A stream always runs its own pattern's matching order: when
+// the plan cache's canonical tier holds a plan compiled from a renumbered
+// isomorph, the stream compiles its own plan instead (and reports
+// plan_cache_hit = false), since the isomorph's plan would enumerate in a
+// different order under different plan positions.
 //
 // Lifecycle: open_stream() pins the current graph snapshot, compiles (or
 // reuses) the plan, and starts a producer thread running the requested

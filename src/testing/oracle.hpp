@@ -67,8 +67,8 @@ struct OracleOptions {
   /// mqo_patterns in one shared-prefix PatternIndex and replay the graph as
   /// a single batch over an edgeless base; every registration's indexed
   /// delta must equal its per-pattern IncrementalMatcher delta and the
-  /// brute-force count, and collected embedding lists must equal
-  /// DeltaStreamer's bit for bit.
+  /// brute-force count, and collected embedding lists must equal its
+  /// embedding_delta lists bit for bit.
   bool run_mqo = true;
   /// Like incremental_max_edges: the lane's trie walks anchor per delta
   /// edge, so skip graphs past this many edges.

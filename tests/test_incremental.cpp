@@ -15,6 +15,7 @@
 
 #include "baselines/reference.hpp"
 #include "core/host_engine.hpp"
+#include "delta_support.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
@@ -25,62 +26,6 @@
 
 namespace stm {
 namespace {
-
-/// A random valid batch against the current version: random pairs become
-/// deletions when present, insertions when absent (so insertions and
-/// deletions can never overlap).
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
-}
-
-/// Applies `num_batches` random batches, tracking the count incrementally,
-/// and checks the cumulative count against full re-enumeration of the
-/// compacted graph after every batch. Returns the number of batches checked.
-int run_differential(const Pattern& pattern, DeltaEngine engine,
-                     std::uint64_t seed, int num_batches, int batch_edges) {
-  Graph base = make_erdos_renyi(36, 0.15, seed);
-  MutableGraph g(base);
-
-  IncrementalOptions opts;
-  opts.engine = engine;
-  IncrementalMatcher matcher(pattern, opts);
-
-  ReferenceOptions ref;
-  ref.induced = opts.plan.induced;
-  ref.count_mode = opts.plan.count_mode;
-
-  Rng rng(seed * 7919 + 13);
-  std::int64_t count = static_cast<std::int64_t>(
-      reference_count(g.snapshot()->view(), pattern, ref));
-  int checked = 0;
-  for (int i = 0; i < num_batches; ++i) {
-    auto from = g.snapshot();
-    UpdateBatch batch = random_batch(*from, rng, batch_edges);
-    ApplyResult applied = g.apply(batch);
-    DeltaMatchResult d = matcher.count_delta(from, applied.applied);
-    count += d.delta;
-    const std::uint64_t full =
-        reference_count(GraphView(applied.snapshot->compacted()), pattern, ref);
-    EXPECT_EQ(count, static_cast<std::int64_t>(full))
-        << "engine=" << static_cast<int>(engine) << " seed=" << seed
-        << " batch=" << i;
-    if (count != static_cast<std::int64_t>(full)) return checked;
-    ++checked;
-  }
-  return checked;
-}
 
 const char* const kPatterns[] = {
     "0-1,1-2,2-0",                          // triangle
@@ -152,6 +97,21 @@ TEST(IncrementalMatcher, RejectsVertexInducedSemantics) {
   opts.plan.induced = Induced::kVertex;
   EXPECT_THROW(IncrementalMatcher(Pattern::parse("0-1,1-2"), opts),
                check_error);
+}
+
+TEST(IncrementalMatcher, EmbeddingDeltaRejectsUniqueSubgraphMode) {
+  // A subgraph can have several embeddings, so an embedding-level delta is
+  // only defined for kEmbeddings; the count delta stays available.
+  IncrementalOptions opts;
+  opts.plan.count_mode = CountMode::kUniqueSubgraphs;
+  const IncrementalMatcher matcher(Pattern::parse("0-1,1-2,2-0"), opts);
+  MutableGraph g(make_clique(5));
+  const auto from = g.snapshot();
+  UpdateBatch batch;
+  batch.deletions.emplace_back(0, 1);
+  const ApplyResult applied = g.apply(batch);
+  EXPECT_THROW(matcher.embedding_delta(from, applied.applied), check_error);
+  EXPECT_EQ(matcher.count_delta(from, applied.applied).delta, -3);
 }
 
 TEST(IncrementalMatcher, KnownTriangleDeltas) {

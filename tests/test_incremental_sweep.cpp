@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "baselines/reference.hpp"
+#include "delta_support.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
@@ -27,59 +27,6 @@ bool slow_tests_enabled() {
 #define STMATCH_REQUIRE_SLOW()                                       \
   if (!slow_tests_enabled())                                         \
   GTEST_SKIP() << "set STMATCH_SLOW=1 to run the deep sweeps"
-
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
-}
-
-/// Same contract as test_incremental.cpp's run_differential: apply random
-/// batches, track the count through deltas, check against full
-/// re-enumeration after every batch.
-int run_differential(const Pattern& pattern, DeltaEngine engine,
-                     std::uint64_t seed, int num_batches, int batch_edges) {
-  Graph base = make_erdos_renyi(36, 0.15, seed);
-  MutableGraph g(base);
-
-  IncrementalOptions opts;
-  opts.engine = engine;
-  IncrementalMatcher matcher(pattern, opts);
-
-  ReferenceOptions ref;
-  ref.induced = opts.plan.induced;
-  ref.count_mode = opts.plan.count_mode;
-
-  Rng rng(seed * 7919 + 13);
-  std::int64_t count = static_cast<std::int64_t>(
-      reference_count(g.snapshot()->view(), pattern, ref));
-  int checked = 0;
-  for (int i = 0; i < num_batches; ++i) {
-    auto from = g.snapshot();
-    UpdateBatch batch = random_batch(*from, rng, batch_edges);
-    ApplyResult applied = g.apply(batch);
-    DeltaMatchResult d = matcher.count_delta(from, applied.applied);
-    count += d.delta;
-    const std::uint64_t full =
-        reference_count(GraphView(applied.snapshot->compacted()), pattern, ref);
-    EXPECT_EQ(count, static_cast<std::int64_t>(full))
-        << "engine=" << static_cast<int>(engine) << " seed=" << seed
-        << " batch=" << i;
-    if (count != static_cast<std::int64_t>(full)) return checked;
-    ++checked;
-  }
-  return checked;
-}
 
 const char* const kPatterns[] = {
     "0-1,1-2,2-0",                          // triangle

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "baselines/reference.hpp"
+#include "delta_support.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "dynamic/incremental.hpp"
 #include "graph/generators.hpp"
@@ -25,7 +26,6 @@
 #include "pattern/matching_order.hpp"
 #include "pattern/pattern.hpp"
 #include "service/service.hpp"
-#include "stream/delta_stream.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -37,22 +37,6 @@ const char* const kPath3 = "0-1,1-2";
 const char* const kFourClique = "0-1,0-2,0-3,1-2,1-3,2-3";
 const char* const kPrism = "0-1,1-2,2-0,3-4,4-5,5-3,0-3,1-4,2-5";
 const char* const kK33 = "0-3,0-4,0-5,1-3,1-4,1-5,2-3,2-4,2-5";
-
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
-}
 
 TEST(MqoTrie, AnchoredPathIsOrientationInvariant) {
   for (const char* s : {kTriangle, kPath3, kFourClique, kPrism, kK33}) {
@@ -187,7 +171,7 @@ TEST(MqoIndex, GroupSlotsAreReusedUnderChurn) {
 /// Registers `patterns` into an index (ids 1..n, kEmbeddings, collecting)
 /// and runs `num_batches` random batches, asserting after each that every
 /// registration's indexed delta equals its per-pattern IncrementalMatcher
-/// delta, its DeltaStreamer embedding lists, and cumulative full
+/// delta and embedding lists, and cumulative full
 /// re-enumeration.
 void run_mqo_differential(const std::vector<Pattern>& patterns,
                           std::uint64_t seed, int num_batches,
@@ -198,13 +182,10 @@ void run_mqo_differential(const std::vector<Pattern>& patterns,
 
   mqo::PatternIndex index;
   std::vector<std::unique_ptr<IncrementalMatcher>> matchers;
-  std::vector<std::unique_ptr<stream::DeltaStreamer>> streamers;
   std::vector<std::int64_t> counts;
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     index.add(i + 1, patterns[i], {}, true);
     matchers.push_back(std::make_unique<IncrementalMatcher>(patterns[i]));
-    streamers.push_back(std::make_unique<stream::DeltaStreamer>(
-        patterns[i], PlanOptions{}));
     counts.push_back(static_cast<std::int64_t>(
         reference_count(g.snapshot()->view(), patterns[i])));
   }
@@ -222,10 +203,11 @@ void run_mqo_differential(const std::vector<Pattern>& patterns,
       EXPECT_EQ(qd.delta, d.delta)
           << "indexed vs per-pattern, pattern " << i << " batch " << b
           << " seed " << seed;
-      stream::DeltaBatch db = streamers[i]->delta(from, applied.applied);
-      EXPECT_EQ(qd.added, db.added)
+      const EmbeddingDelta ed =
+          matchers[i]->embedding_delta(from, applied.applied);
+      EXPECT_EQ(qd.added, ed.added)
           << "added embeddings, pattern " << i << " batch " << b;
-      EXPECT_EQ(qd.retracted, db.retracted)
+      EXPECT_EQ(qd.retracted, ed.retracted)
           << "retracted embeddings, pattern " << i << " batch " << b;
       counts[i] += qd.delta;
       EXPECT_EQ(counts[i], static_cast<std::int64_t>(reference_count(
@@ -419,22 +401,6 @@ SessionConfig indexed_cfg() {
   SessionConfig cfg;
   cfg.standing_index = true;
   return cfg;
-}
-
-/// Brute-force embedding list in original-pattern vertex order (the
-/// reference enumerator reports plan-order mappings), sorted.
-std::vector<Embedding> reference_embeddings(GraphView g, const Pattern& p) {
-  const std::vector<std::size_t> order = matching_order(p);
-  std::vector<Embedding> ref;
-  std::vector<VertexId> orig(p.size());
-  reference_enumerate(g, p, {},
-                      [&](const std::vector<VertexId>& m) {
-                        for (std::size_t i = 0; i < order.size(); ++i)
-                          orig[order[i]] = m[i];
-                        ref.push_back(orig);
-                      });
-  std::sort(ref.begin(), ref.end());
-  return ref;
 }
 
 /// The delivered fields of an update (delta_ms is wall time, not a result).

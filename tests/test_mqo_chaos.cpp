@@ -11,6 +11,7 @@
 
 #include "baselines/reference.hpp"
 #include "core/fault.hpp"
+#include "delta_support.hpp"
 #include "graph/generators.hpp"
 #include "pattern/pattern.hpp"
 #include "service/service.hpp"
@@ -21,22 +22,6 @@ namespace stm {
 namespace {
 
 Pattern triangle() { return Pattern::parse("0-1,1-2,2-0"); }
-
-UpdateBatch random_batch(const GraphSnapshot& snap, Rng& rng, int num_edges) {
-  const VertexId n = snap.num_vertices();
-  UpdateBatch batch;
-  for (int i = 0; i < num_edges; ++i) {
-    const auto u = static_cast<VertexId>(rng() % n);
-    const auto v = static_cast<VertexId>(rng() % n);
-    if (u == v) continue;
-    if (snap.has_edge(u, v)) {
-      batch.deletions.emplace_back(u, v);
-    } else {
-      batch.insertions.emplace_back(u, v);
-    }
-  }
-  return batch;
-}
 
 TEST(MqoChaos, UpdateFaultsLeaveIndexedCountsExact) {
   SessionConfig cfg;

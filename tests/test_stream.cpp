@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +149,38 @@ TEST(StreamOrder, UniqueSubgraphModeStreamsOneRepresentativePerSubgraph) {
   }
   std::sort(sets.begin(), sets.end());
   EXPECT_EQ(std::unique(sets.begin(), sets.end()), sets.end());
+}
+
+TEST(StreamOrder, RenumberedIsomorphOfACachedPatternStreamsItsOwnEmbeddings) {
+  // The two paths are isomorphic, so the plan cache's canonical tier would
+  // serve the first one's plan to the second stream; the stream must still
+  // deliver embeddings of the pattern it was asked for, in its own order.
+  const Graph g = make_erdos_renyi(60, 0.08, 7);
+  const Pattern first = Pattern::parse("0-1,1-2,2-3");
+  const Pattern second = Pattern::parse("3-1,1-2,2-0");
+
+  GraphSession session{Graph(g)};
+  QueryResult r;
+  ASSERT_FALSE(drain(session, stream_request(first), &r).empty());
+  const std::vector<Embedding> got =
+      drain(session, stream_request(second), &r);
+  EXPECT_EQ(r.status, QueryStatus::kOk);
+  EXPECT_FALSE(r.plan_cache_hit);
+  ASSERT_FALSE(got.empty());
+
+  const GraphView view(g);
+  std::size_t bad = 0;
+  for (const Embedding& e : got) {
+    bool ok = std::set<VertexId>(e.begin(), e.end()).size() == e.size();
+    for (const auto& [a, b] : second.edges())
+      ok = ok && view.has_edge(e[a], e[b]);
+    bad += ok ? 0 : 1;
+  }
+  EXPECT_EQ(bad, 0u) << "of " << got.size()
+                     << " delivered mappings are not embeddings";
+
+  GraphSession fresh{Graph(g)};
+  EXPECT_EQ(got, drain(fresh, stream_request(second)));
 }
 
 // ---------------------------------------------------------------------------
